@@ -1,8 +1,9 @@
-(** Command-line driver for full-scale reproduction campaigns.
-
-    The bench harness ([bench/main.exe]) uses reduced trial counts so it
-    finishes in minutes; this tool runs paper-scale campaigns (1000 trials
-    per benchmark and technique, §IV-C) and the auxiliary studies. *)
+(** Command-line front end for the paper's evaluation: every table and
+    figure ([all]), the extension studies ([study]), single campaigns
+    ([campaign]) and the journal, warehouse and static-analysis tooling
+    around them.  Campaigns default to paper scale (1000 trials per
+    benchmark and technique, §IV-C); [bench/main.exe] only measures
+    campaign performance. *)
 
 open Cmdliner
 
@@ -14,9 +15,11 @@ let seed_arg =
   let doc = "Master random seed (campaigns are deterministic per seed)." in
   Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let benchmarks_arg =
-  let doc = "Comma-separated benchmark subset (default: all 13)." in
+let benchmarks_opt doc =
   Arg.(value & opt (some string) None & info [ "benchmarks"; "b" ] ~docv:"NAMES" ~doc)
+
+let benchmarks_arg =
+  benchmarks_opt "Comma-separated benchmark subset (default: all 13)."
 
 (* [--domains] accepts a positive integer or the word "auto"; "auto"
    resolves to {!Faults.Pool.recommended_domains} at parse time, so every
@@ -75,6 +78,11 @@ let logger_of quiet log_json =
    | None -> ());
   log
 
+(* Export files announce themselves on stdout, after the tables. *)
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Printf.printf "written: %s\n" path
+
 let technique_of_string s =
   match String.lowercase_ascii s with
   | "original" -> Softft.Original
@@ -89,7 +97,7 @@ let technique_of_string s =
          "unknown technique %S (original|dup|dupval|full|cfc|dupvalcfc)"
          other)
 
-let run_all trials seed benchmarks domains quiet log_json =
+let run_all trials seed benchmarks domains quiet log_json csv =
   let log = logger_of quiet log_json in
   let workloads = resolve_benchmarks benchmarks in
   let results =
@@ -106,7 +114,19 @@ let run_all trials seed benchmarks domains quiet log_json =
   Softft.Experiments.print_headline results;
   Printf.printf
     "\n(95%% confidence margin of error at %d trials: +-%.1f points)\n" trials
-    (100.0 *. Softft.margin_of_error ~trials ~proportion:0.5)
+    (100.0 *. Softft.margin_of_error ~trials ~proportion:0.5);
+  match csv with
+  | Some path ->
+    Softft.Experiments.write_csv path results;
+    Obs.Log.info log ~fields:[ ("path", Obs.Json.Str path) ] "csv written"
+  | None -> ()
+
+let all_csv_arg =
+  let doc =
+    "Also write one CSV row per (benchmark, technique) cell — outcome \
+     shares, overhead and static statistics — to $(docv)."
+  in
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
 let all_cmd =
   let doc = "Run every table and figure of the paper's evaluation." in
@@ -114,100 +134,81 @@ let all_cmd =
     (Cmd.info "all" ~doc)
     Term.(
       const run_all $ trials_arg $ seed_arg $ benchmarks_arg $ domains_arg
-      $ quiet_arg $ log_json_arg)
+      $ quiet_arg $ log_json_arg $ all_csv_arg)
 
-let run_crossval trials seed domains quiet =
-  ignore quiet;
-  let rows = Softft.Experiments.crossval ~trials ~seed ~domains () in
-  Softft.Experiments.print_crossval rows
+(* The studies beyond the paper's own tables.  Each has its own default
+   workload subset, used when --benchmarks is absent (latency and sources
+   default to all 13); crossval always runs the paper's §V pair. *)
+type study = Ablation | Latency | Recovery | Branchfault | Sources | Crossval
 
-let crossval_cmd =
+let studies =
+  [ ("ablation", Ablation); ("latency", Latency); ("recovery", Recovery);
+    ("branchfault", Branchfault); ("sources", Sources);
+    ("crossval", Crossval) ]
+
+let run_studies names trials seed benchmarks domains =
+  let subset default =
+    match benchmarks with
+    | Some _ -> resolve_benchmarks benchmarks
+    | None -> List.map Workloads.Registry.find default
+  in
+  List.iter
+    (function
+      | Ablation ->
+        List.iter
+          (fun w ->
+            Softft.Experiments.print_ablation w
+              (Softft.Experiments.ablation ~trials ~seed ~domains w))
+          (subset [ "jpegdec"; "g721enc" ])
+      | Latency ->
+        Softft.Experiments.print_latency
+          (Softft.Experiments.latency ~trials ~seed ~domains
+             (resolve_benchmarks benchmarks))
+      | Recovery ->
+        List.iter
+          (fun w ->
+            Softft.Experiments.print_recovery w
+              (Softft.Experiments.recovery ~trials ~seed ~domains w))
+          (subset [ "jpegdec"; "kmeans" ])
+      | Branchfault ->
+        Softft.Experiments.print_branch_faults
+          (Softft.Experiments.branch_faults ~trials ~seed ~domains
+             (subset [ "jpegdec"; "g721enc"; "kmeans" ]))
+      | Sources ->
+        Softft.Experiments.print_detection_sources
+          (Softft.Experiments.detection_sources ~trials ~seed ~domains
+             (resolve_benchmarks benchmarks))
+      | Crossval ->
+        Softft.Experiments.print_crossval
+          (Softft.Experiments.crossval ~trials ~seed ~domains ()))
+    names
+
+let study_names_arg =
   let doc =
-    "Cross-validation (paper \xc2\xa7V): profile on the test input and inject \
-     on the train input, for jpegdec and kmeans."
+    "Studies to run, in order: $(b,ablation) (Optimizations 1 and 2 on/off; \
+     default jpegdec, g721enc), $(b,latency) (detection latency; default \
+     all 13), $(b,recovery) (checkpoint-interval sweep; default jpegdec, \
+     kmeans), $(b,branchfault) (branch-target faults; default jpegdec, \
+     g721enc, kmeans), $(b,sources) (which check detects; default all 13) \
+     and $(b,crossval) (paper \xc2\xa7V: profile on test, inject on train; \
+     always jpegdec and kmeans)."
+  in
+  Arg.(non_empty & pos_all (enum studies) [] & info [] ~docv:"STUDY" ~doc)
+
+let study_cmd =
+  let doc =
+    "Run the extension studies: optimization ablation, detection latency, \
+     checkpoint recovery, branch-target faults, detection sources and the \
+     \xc2\xa7V cross-validation."
   in
   Cmd.v
-    (Cmd.info "crossval" ~doc)
-    Term.(const run_crossval $ trials_arg $ seed_arg $ domains_arg $ quiet_arg)
-
-let run_one name technique_name trials seed domains checkpoint taint
-    progress progress_jsonl journal timeline profile_flag quiet log_json =
-  let log = logger_of quiet log_json in
-  let w = Workloads.Registry.find name in
-  let technique = technique_of_string technique_name in
-  let p = Softft.protect w technique in
-  let golden =
-    Softft.golden p ~checkpoint_interval:checkpoint
-      ~role:Workloads.Workload.Test
-  in
-  Printf.printf "%s / %s\n" w.name (Softft.technique_name technique);
-  Printf.printf "  static instrs (orig) : %d\n" p.static_stats.original_instrs;
-  Printf.printf "  state variables      : %d\n" p.static_stats.state_vars;
-  Printf.printf "  duplicated instrs    : %d\n" p.static_stats.duplicated_instrs;
-  Printf.printf "  value checks         : %d\n" p.static_stats.value_checks;
-  Printf.printf "  golden steps/cycles  : %d / %d\n" golden.steps golden.cycles;
-  Printf.printf "  false positives      : %d\n" golden.false_positives;
-  let profile =
-    if profile_flag then Some (Interp.Profile.create ()) else None
-  in
-  let stats = ref None in
-  let progress_oc = Option.map open_out progress_jsonl in
-  let sinks =
-    (if progress then [ Faults.Progress.stderr_sink () ] else [])
-    @ (match progress_oc with
-       | Some oc -> [ Faults.Progress.jsonl_sink oc ]
-       | None -> [])
-  in
-  let pg =
-    match sinks with
-    | [] -> None
-    | _ :: _ -> Some (Faults.Progress.create ~sinks ~total:trials ())
-  in
-  let trace = Option.map (fun _ -> Obs.Trace.recorder ()) timeline in
-  let summary, results =
-    Softft.campaign p ~role:Workloads.Workload.Test ~trials ~seed ~domains
-      ~checkpoint_interval:checkpoint ~taint_trace:taint ?profile
-      ~stats_out:stats ?progress:pg ?trace
-  in
-  (match progress_oc with Some oc -> close_out oc | None -> ());
-  List.iter
-    (fun outcome ->
-      Printf.printf "  %-13s : %5.1f%%\n"
-        (Faults.Classify.name outcome)
-        (Faults.Campaign.percent summary outcome))
-    Faults.Classify.all;
-  (match journal with
-   | Some path ->
-     let manifest =
-       Faults.Journal.manifest_record
-         ~technique:(Softft.technique_name technique)
-         ?stats:!stats ~counts:summary.Faults.Campaign.counts
-         ~label:(Printf.sprintf "%s/%s/test" w.name
-                   (Softft.technique_name technique))
-         ~trials ~seed ~domains ~checkpoint_interval:checkpoint
-         ~taint_trace:taint ~hw_window:Faults.Classify.default_hw_window
-         ~fault_kind:"register_bit"
-         ~golden:summary.Faults.Campaign.golden_info ()
-     in
-     Faults.Journal.write ?trace ~path ~manifest ~trials:results ();
-     Obs.Log.info log
-       ~fields:
-         [ ("path", Obs.Json.Str path);
-           ("trials", Obs.Json.Int (List.length results)) ]
-       "journal written"
-   | None -> ());
-  (match timeline, trace with
-   | Some path, Some r ->
-     Obs.Trace.write_chrome r ~path;
-     Obs.Log.info log
-       ~fields:
-         [ ("path", Obs.Json.Str path);
-           ("spans", Obs.Json.Int (List.length (Obs.Trace.durs r))) ]
-       "timeline written"
-   | _, _ -> ());
-  match profile with
-  | Some prof -> Softft.Experiments.print_profile prof
-  | None -> ()
+    (Cmd.info "study" ~doc)
+    Term.(
+      const run_studies $ study_names_arg $ trials_arg $ seed_arg
+      $ benchmarks_opt
+          "Comma-separated benchmark subset for every study but crossval \
+           (default: each study's own subset, listed above)."
+      $ domains_arg)
 
 let name_arg =
   let doc = "Benchmark name (see `table1')." in
@@ -274,34 +275,20 @@ let timeline_arg =
     value & opt (some string) None
     & info [ "trace-timeline" ] ~docv:"FILE" ~doc)
 
-let one_cmd =
-  let doc = "Protect one benchmark and run a campaign against it." in
-  Cmd.v
-    (Cmd.info "one" ~doc)
-    Term.(
-      const run_one $ name_arg $ technique_arg $ trials_arg $ seed_arg
-      $ domains_arg $ checkpoint_arg $ taint_arg $ progress_arg
-      $ progress_jsonl_arg $ journal_arg $ timeline_arg $ profile_arg
-      $ quiet_arg $ log_json_arg)
-
-(* `campaign` generalizes `one`: the uniform path is the same
-   [Softft.campaign] call (trials and journals are bit-identical to
-   `one`'s at any --domains), and --adaptive switches to the stratified
-   scheduler of DESIGN.md §14 — static-coverage × ring-residency strata,
-   Neyman allocation, per-stratum early stopping, mass-reweighted
-   whole-program rates. *)
+(* A campaign against one protected benchmark: uniform sampling by
+   default, or --adaptive for the stratified scheduler of DESIGN.md §14 —
+   static-coverage × ring-residency strata, Neyman allocation, per-stratum
+   early stopping, mass-reweighted whole-program rates. *)
 let run_campaign name technique_name adaptive ci trials max_trials bands
-    seed domains checkpoint progress progress_jsonl journal warehouse
-    timeline quiet log_json =
+    seed domains checkpoint taint profile_flag progress progress_jsonl journal
+    warehouse timeline quiet log_json =
   let log = logger_of quiet log_json in
   let w = Workloads.Registry.find name in
   let technique = technique_of_string technique_name in
   let p = Softft.protect w technique in
-  Printf.printf "%s / %s%s\n" w.name
-    (Softft.technique_name technique)
-    (if adaptive then
-       Printf.sprintf "  (adaptive, target SDC half-width %.4f)" ci
-     else "");
+  let profile =
+    if profile_flag then Some (Interp.Profile.create ()) else None
+  in
   let stats = ref None in
   let progress_oc = Option.map open_out progress_jsonl in
   let sinks =
@@ -311,28 +298,25 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
        | None -> [])
   in
   let trace = Option.map (fun _ -> Obs.Trace.recorder ()) timeline in
-  (* The warehouse sink rebuilds the same manifest the --journal block
-     writes — the run key hashes it, so a run filed as it finishes and the
-     same journal ingested later land on the same key. *)
-  let file_in dir ?adaptive (summary : Faults.Campaign.summary) results
-      run_stats =
-    let manifest =
-      Faults.Journal.manifest_record
-        ~technique:(Softft.technique_name technique)
-        ?stats:run_stats ~counts:summary.Faults.Campaign.counts ?adaptive
-        ~label:(Printf.sprintf "%s/%s/test" w.name
-                  (Softft.technique_name technique))
-        ~trials:summary.Faults.Campaign.trials ~seed ~domains
-        ~checkpoint_interval:checkpoint
-        ~hw_window:Faults.Classify.default_hw_window
-        ~fault_kind:"register_bit"
-        ~golden:summary.Faults.Campaign.golden_info ()
-    in
+  (* One manifest for the --journal file and the warehouse sink — the run
+     key hashes it, so a run filed as it finishes and the same journal
+     ingested later land on the same key. *)
+  let manifest ?adaptive ?stats (summary : Faults.Campaign.summary) =
+    Faults.Journal.manifest_record
+      ~technique:(Softft.technique_name technique)
+      ?stats ~counts:summary.counts ?adaptive
+      ~label:(Printf.sprintf "%s/%s/test" w.name
+                (Softft.technique_name technique))
+      ~trials:summary.trials ~seed ~domains ~checkpoint_interval:checkpoint
+      ~taint_trace:taint ~hw_window:Faults.Classify.default_hw_window
+      ~fault_kind:"register_bit" ~golden:summary.golden_info ()
+  in
+  let file_in dir ?adaptive summary results stats =
     let verdict, (entry : Warehouse.Store.entry) =
       match
         Warehouse.Store.file_run
           ~prog_digest:(Warehouse.Store.prog_digest p.Softft.prog) ~dir
-          ~manifest ~trials:results ()
+          ~manifest:(manifest ?adaptive ?stats summary) ~trials:results ()
       with
       | `Ingested e -> ("filed", e)
       | `Duplicate e -> ("already filed (duplicate)", e)
@@ -352,7 +336,8 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
       in
       let summary, results =
         Softft.campaign p ~role:Workloads.Workload.Test ~trials ~seed
-          ~domains ~checkpoint_interval:checkpoint ~stats_out:stats
+          ~domains ~checkpoint_interval:checkpoint ~taint_trace:taint
+          ?profile ~stats_out:stats
           ?warehouse:
             (Option.map
                (fun dir summary results run_stats ->
@@ -377,7 +362,7 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
       in
       let summary, results, ad =
         Faults.Campaign.run_adaptive ~seed ~domains
-          ~checkpoint_interval:checkpoint ~stats_out:stats
+          ~checkpoint_interval:checkpoint ~taint_trace:taint ~stats_out:stats
           ?warehouse:
             (Option.map
                (fun dir summary results run_stats ad ->
@@ -390,6 +375,18 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
     end
   in
   (match progress_oc with Some oc -> close_out oc | None -> ());
+  let golden = summary.Faults.Campaign.golden_info in
+  Printf.printf "%s / %s%s\n" w.name
+    (Softft.technique_name technique)
+    (if adaptive then
+       Printf.sprintf "  (adaptive, target SDC half-width %.4f)" ci
+     else "");
+  Printf.printf "  static instrs (orig) : %d\n" p.static_stats.original_instrs;
+  Printf.printf "  state variables      : %d\n" p.static_stats.state_vars;
+  Printf.printf "  duplicated instrs    : %d\n" p.static_stats.duplicated_instrs;
+  Printf.printf "  value checks         : %d\n" p.static_stats.value_checks;
+  Printf.printf "  golden steps/cycles  : %d / %d\n" golden.steps golden.cycles;
+  Printf.printf "  false positives      : %d\n" golden.false_positives;
   List.iter
     (fun outcome ->
       Printf.printf "  %-13s : %5.1f%%\n"
@@ -427,35 +424,25 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
    | None -> ());
   (match journal with
    | Some path ->
-     let manifest =
-       Faults.Journal.manifest_record
-         ~technique:(Softft.technique_name technique)
-         ?stats:!stats ~counts:summary.Faults.Campaign.counts
-         ?adaptive:adaptive_out
-         ~label:(Printf.sprintf "%s/%s/test" w.name
-                   (Softft.technique_name technique))
-         ~trials:summary.Faults.Campaign.trials ~seed ~domains
-         ~checkpoint_interval:checkpoint
-         ~hw_window:Faults.Classify.default_hw_window
-         ~fault_kind:"register_bit"
-         ~golden:summary.Faults.Campaign.golden_info ()
-     in
-     Faults.Journal.write ?trace ~path ~manifest ~trials:results ();
+     Faults.Journal.write ?trace ~path
+       ~manifest:(manifest ?adaptive:adaptive_out ?stats:!stats summary)
+       ~trials:results ();
      Obs.Log.info log
        ~fields:
          [ ("path", Obs.Json.Str path);
            ("trials", Obs.Json.Int (List.length results)) ]
        "journal written"
    | None -> ());
-  match timeline, trace with
-  | Some path, Some r ->
-    Obs.Trace.write_chrome r ~path;
-    Obs.Log.info log
-      ~fields:
-        [ ("path", Obs.Json.Str path);
-          ("spans", Obs.Json.Int (List.length (Obs.Trace.durs r))) ]
-      "timeline written"
-  | _, _ -> ()
+  (match timeline, trace with
+   | Some path, Some r ->
+     Obs.Trace.write_chrome r ~path;
+     Obs.Log.info log
+       ~fields:
+         [ ("path", Obs.Json.Str path);
+           ("spans", Obs.Json.Int (List.length (Obs.Trace.durs r))) ]
+       "timeline written"
+   | _, _ -> ());
+  Option.iter Softft.Experiments.print_profile profile
 
 let adaptive_arg =
   let doc =
@@ -490,6 +477,16 @@ let warehouse_sink_arg =
   in
   Arg.(value & opt (some string) None & info [ "warehouse" ] ~docv:"DIR" ~doc)
 
+(* Only the uniform path takes an execution profile: the adaptive
+   scheduler has no profiling hook. *)
+let campaign_profile_arg =
+  let check adaptive profile =
+    if adaptive && profile then
+      `Error (true, "--profile cannot be combined with --adaptive")
+    else `Ok profile
+  in
+  Term.(ret (const check $ adaptive_arg $ profile_arg))
+
 let campaign_cmd =
   let doc =
     "Run a fault campaign: uniform sampling by default, or --adaptive \
@@ -500,8 +497,9 @@ let campaign_cmd =
     Term.(
       const run_campaign $ name_arg $ technique_arg $ adaptive_arg $ ci_arg
       $ trials_arg $ max_trials_arg $ bands_arg $ seed_arg $ domains_arg
-      $ checkpoint_arg $ progress_arg $ progress_jsonl_arg $ journal_arg
-      $ warehouse_sink_arg $ timeline_arg $ quiet_arg $ log_json_arg)
+      $ checkpoint_arg $ taint_arg $ campaign_profile_arg $ progress_arg
+      $ progress_jsonl_arg $ journal_arg $ warehouse_sink_arg $ timeline_arg
+      $ quiet_arg $ log_json_arg)
 
 let run_coverage name technique_name dynamic csv regs_csv journal =
   let w = Workloads.Registry.find name in
@@ -523,12 +521,6 @@ let run_coverage name technique_name dynamic csv regs_csv journal =
     Printf.sprintf "%s/%s" w.name (Softft.technique_name technique)
   in
   Softft.Experiments.print_coverage ~label cov;
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    Printf.printf "written: %s\n" path
-  in
   (match csv with
    | Some out -> write_file out (Softft.Experiments.coverage_csv cov)
    | None -> ());
@@ -563,8 +555,8 @@ let regs_csv_arg =
 let coverage_journal_arg =
   let doc =
     "Validate the static prediction against a trial journal (produced by \
-     `one --journal' for the same benchmark and technique): buckets every \
-     injected trial by the protection status of the register it hit."
+     `campaign --journal' for the same benchmark and technique): buckets \
+     every injected trial by the protection status of the register it hit."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
@@ -644,12 +636,6 @@ let run_optimize name budget beam checkpoint validate_n seed domains ci
       Printf.printf "  note: %s strictly dominates fixed pipeline %s\n" by
         fixed)
     fr.fr_dominated_fixed;
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    Printf.printf "written: %s\n" path
-  in
   (match csv with
    | Some out -> write_file out (optimize_frontier_csv fr)
    | None -> ());
@@ -945,7 +931,7 @@ let run_report path strata csv =
 
 let journal_path_arg =
   let doc =
-    "Trial journal produced by `one --journal', or a directory of such \
+    "Trial journal produced by `campaign --journal', or a directory of such \
      journals (reported one section per distinct run, grouped by \
      warehouse run key — never merged)."
   in
@@ -1457,12 +1443,6 @@ let run_heatmap name technique_name journal warehouse csv html =
                string_of_int s.s_detected; string_of_int s.s_masked;
                string_of_int s.s_other ])
            shown);
-    let write_file path contents =
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Printf.printf "written: %s\n" path
-    in
     (match csv with
      | Some out -> write_file out (Warehouse.Heatmap.to_csv hm)
      | None -> ());
@@ -1521,10 +1501,10 @@ let run_trace name limit =
   let prog = w.build () in
   let state = w.fresh_state Workloads.Workload.Test in
   let events, result =
-    Interp.Trace.first_values ~limit prog ~entry:Workloads.Workload.entry
+    Interp.Value_trace.first_values ~limit prog ~entry:Workloads.Workload.entry
       ~args:state.args ~mem:state.mem
   in
-  List.iter print_endline (Interp.Trace.render prog events);
+  List.iter print_endline (Interp.Value_trace.render prog events);
   Format.printf "... run %a after %d steps@." Interp.Machine.pp_stop
     result.stop result.steps
 
@@ -1588,7 +1568,7 @@ let run_trace_fault name technique_name seed trial_index =
         Interp.Taint.event_limit
 
 let trial_index_arg =
-  let doc = "Campaign trial index to replay (same seed discipline as `one')." in
+  let doc = "Campaign trial index to replay (same seed discipline as `campaign')." in
   Arg.(value & opt int 0 & info [ "trial"; "i" ] ~docv:"INDEX" ~doc)
 
 let trace_fault_cmd =
@@ -1609,7 +1589,7 @@ let main_cmd =
   in
   Cmd.group
     (Cmd.info "experiments" ~version:"1.0.0" ~doc)
-    [ all_cmd; crossval_cmd; one_cmd; campaign_cmd; coverage_cmd;
+    [ all_cmd; study_cmd; campaign_cmd; coverage_cmd;
       optimize_cmd; lint_cmd;
       report_cmd; bench_diff_cmd; ingest_cmd; history_cmd; diff_runs_cmd;
       regress_cmd; heatmap_cmd; table1_cmd; dump_cmd; trace_cmd;

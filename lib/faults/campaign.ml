@@ -78,7 +78,7 @@ type trial = {
   detect_latency : int option;
       (** dynamic instructions between the flip and its detection, for
           SWDetect/HWDetect outcomes — the window a recovery scheme must
-          cover (paper Â§IV-D) *)
+          cover (paper §IV-D) *)
   steps : int;    (** dynamic instructions the faulted run executed *)
   cycles : int;   (** simulated cycles of the faulted run *)
   recovery : Interp.Machine.recovery option;
@@ -393,7 +393,7 @@ type run_stats = {
 
 (** Run a whole campaign: one golden run plus [trials] injections.
     [fault_kind] selects the paper's register bit flips (default) or
-    branch-target corruptions (the Â§IV-C complementary fault class).
+    branch-target corruptions (the §IV-C complementary fault class).
     [domains] fans the trials out over OCaml 5 domains ({!Pool}); results
     are bit-identical to the serial run for any worker count because every
     trial's seed is pre-derived by {!derive_seeds} and each trial executes

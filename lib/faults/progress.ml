@@ -68,24 +68,32 @@ let create ?(interval = 0.5) ?(sinks = []) ?(strata = 0) ~total () =
     last_emit = 0.0 }
 
 let snapshot ?(final = false) t =
-  let done_ = Atomic.get t.completed in
+  (* [done] is the sum of the outcome counters as read here, not a separate
+     read of [completed]: a concurrent [note] bumps its outcome before
+     [completed], so two independent reads could report counts that do not
+     sum to done.  [completed] still indexes the completion ring. *)
+  let counts =
+    List.mapi (fun i o -> (o, Atomic.get t.counts.(i))) Classify.all
+  in
+  let done_ = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
+  let completed = Atomic.get t.completed in
   let elapsed = Unix.gettimeofday () -. t.t0 in
   let rate = if elapsed > 0.0 then float_of_int done_ /. elapsed else 0.0 in
-  (* Rate over the last [min done_ window_size] completions.  The all-time
-     rate divides by elapsed time since [create], which includes the
+  (* Rate over the last [min completed window_size] completions.  The
+     all-time rate divides by elapsed time since [create], which includes the
      golden-run/fork-capture setup before the first trial finishes — that
      inflated early ETAs badly on slow workloads.  The window starts at the
      oldest retained completion's timestamp, so setup never enters it. *)
   let window_rate =
-    (* Retain one slot fewer than the ring holds: once [done_ >=
-       window_size] the slot of completion [done_ - window_size] is the
+    (* Retain one slot fewer than the ring holds: once [completed >=
+       window_size] the slot of completion [completed - window_size] is the
        very next write target, so an in-flight completion may be
        overwriting it while we read — the classic torn read right at the
        wrap boundary. *)
-    let retained = min done_ (window_size - 1) in
+    let retained = min completed (window_size - 1) in
     if retained < 2 then rate
     else begin
-      let oldest_us = t.window.((done_ - retained) mod window_size) in
+      let oldest_us = t.window.((completed - retained) mod window_size) in
       let span = elapsed -. (float_of_int oldest_us /. 1e6) in
       (* A torn slot or sub-µs span would yield an [inf] rate (and a
          non-finite JSONL heartbeat); fall back to the all-time rate on a
@@ -101,8 +109,7 @@ let snapshot ?(final = false) t =
   in
   { pg_done = done_;
     pg_total = t.total;
-    pg_counts =
-      List.mapi (fun i o -> (o, Atomic.get t.counts.(i))) Classify.all;
+    pg_counts = counts;
     pg_elapsed = elapsed;
     pg_rate = rate;
     pg_window_rate = window_rate;

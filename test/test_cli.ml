@@ -25,14 +25,15 @@ let help_of sub =
    silently dropped from the CLI breaks scripts; this list is the
    snapshot that catches it. *)
 let surface =
-  [ ("all", [ "--trials"; "--seed"; "--benchmarks"; "--domains"; "--quiet" ]);
-    ("crossval", [ "--trials"; "--seed"; "--domains" ]);
-    ("one",
-     [ "--trials"; "--seed"; "--domains"; "--checkpoint"; "--journal";
-       "--progress"; "--trace-timeline" ]);
+  [ ("all",
+     [ "--trials"; "--seed"; "--benchmarks"; "--domains"; "--quiet";
+       "--csv" ]);
+    ("study", [ "--trials"; "--seed"; "--benchmarks"; "--domains" ]);
     ("campaign",
      [ "--adaptive"; "--ci"; "--max-trials"; "--bands"; "--journal";
-       "--warehouse"; "--progress"; "--trace-timeline" ]);
+       "--warehouse"; "--progress"; "--trace-timeline"; "--trials"; "--seed";
+       "--domains"; "--checkpoint"; "--taint"; "--profile";
+       "--progress-jsonl" ]);
     ("coverage", [ "--dynamic"; "--csv"; "--regs-csv"; "--journal" ]);
     ("optimize",
      [ "--budget"; "--beam"; "--checkpoint"; "--validate"; "--ci";
@@ -73,12 +74,37 @@ let test_toplevel_lists_subcommands () =
         true (contains text sub))
     surface
 
+let exit_code args =
+  Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" exe args)
+
 let test_unknown_subcommand_fails () =
   (* Without --help: cmdliner must reject the command, not fall back. *)
-  let rc =
-    Sys.command (Printf.sprintf "%s no-such-subcommand > /dev/null 2>&1" exe)
-  in
-  Alcotest.(check bool) "unknown subcommand exits nonzero" true (rc <> 0)
+  Alcotest.(check bool) "unknown subcommand exits nonzero" true
+    (exit_code "no-such-subcommand" <> 0)
+
+let test_retired_subcommands_gone () =
+  (* `one' folded into `campaign', `crossval' into `study crossval'.  The
+     COMMANDS section lists one subcommand per indented line; the
+     campaign line proves the pattern matches a listed command. *)
+  let _, text = help_of "" in
+  let listed sub = contains text ("\n       " ^ sub ^ " ") in
+  Alcotest.(check bool) "top-level help lists campaign" true
+    (listed "campaign");
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool)
+        (Printf.sprintf "top-level help no longer lists %s" sub)
+        false (listed sub))
+    [ "one"; "crossval" ]
+
+let test_profile_needs_uniform () =
+  (* The adaptive scheduler takes no execution profile: the combination is
+     a usage error (cmdliner's 124), rejected before any campaign runs,
+     while a uniform campaign accepts the flag. *)
+  let base = "campaign g721enc dupval --trials 1 --domains 1 --profile" in
+  Alcotest.(check int) "uniform campaign --profile runs" 0 (exit_code base);
+  Alcotest.(check int) "campaign --adaptive --profile is a usage error" 124
+    (exit_code (base ^ " --adaptive"))
 
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
@@ -86,4 +112,8 @@ let tests =
     Alcotest.test_case "top-level help lists all subcommands" `Quick
       test_toplevel_lists_subcommands;
     Alcotest.test_case "unknown subcommand" `Quick
-      test_unknown_subcommand_fails ]
+      test_unknown_subcommand_fails;
+    Alcotest.test_case "retired subcommands" `Quick
+      test_retired_subcommands_gone;
+    Alcotest.test_case "--profile rejects --adaptive" `Quick
+      test_profile_needs_uniform ]

@@ -286,7 +286,7 @@ let test_trace_captures_values () =
   Builder.finish b;
   let mem = Interp.Memory.create () in
   let events, result =
-    Interp.Trace.first_values ~limit:10 prog ~entry:"main" ~args:[] ~mem
+    Interp.Value_trace.first_values ~limit:10 prog ~entry:"main" ~args:[] ~mem
   in
   (match result.stop with
    | Interp.Machine.Finished _ -> ()
@@ -297,7 +297,7 @@ let test_trace_captures_values () =
      Alcotest.(check int64) "first value" 5L (Value.to_int64 e1.value);
      Alcotest.(check int64) "second value" 50L (Value.to_int64 e2.value)
    | _ -> Alcotest.fail "unexpected events");
-  let rendered = Interp.Trace.render prog events in
+  let rendered = Interp.Value_trace.render prog events in
   Alcotest.(check int) "rendered lines" 2 (List.length rendered)
 
 let test_trace_respects_limit () =
@@ -312,7 +312,7 @@ let test_trace_respects_limit () =
   Builder.finish b;
   let mem = Interp.Memory.create () in
   let events, (_ : Interp.Machine.result) =
-    Interp.Trace.first_values ~limit:25 prog ~entry:"main" ~args:[] ~mem
+    Interp.Value_trace.first_values ~limit:25 prog ~entry:"main" ~args:[] ~mem
   in
   Alcotest.(check int) "limited" 25 (List.length events)
 

@@ -243,7 +243,7 @@ let test_pool_progress_serial_and_parallel () =
       Alcotest.(check int) "count reaches n" 50 (Atomic.get hwm))
     [ 1; 4 ]
 
-(* ----- Interp.Trace.first_values ?config ----- *)
+(* ----- Interp.Value_trace.first_values ?config ----- *)
 
 let test_first_values_chains_config () =
   let s = subject () in
@@ -254,7 +254,7 @@ let test_first_values_chains_config () =
       Interp.Machine.on_def = Some (fun _ _ -> incr caller_defs) }
   in
   let events, result =
-    Interp.Trace.first_values ~config ~limit:10 s.Faults.Campaign.prog
+    Interp.Value_trace.first_values ~config ~limit:10 s.Faults.Campaign.prog
       ~entry:s.Faults.Campaign.entry ~args:state.Faults.Campaign.args
       ~mem:state.Faults.Campaign.mem
   in
