@@ -78,6 +78,24 @@ let logger_of quiet log_json =
    | None -> ());
   log
 
+(* File one finished campaign run in the warehouse at [dir]; a run whose
+   key is already there is logged as a duplicate and left alone. *)
+let file_run ~log ~dir ~prog ~manifest ~trials =
+  let verdict, (entry : Warehouse.Store.entry) =
+    match
+      Warehouse.Store.file_run
+        ~prog_digest:(Warehouse.Store.prog_digest prog) ~dir ~manifest
+        ~trials ()
+    with
+    | `Ingested e -> ("filed", e)
+    | `Duplicate e -> ("already filed (duplicate)", e)
+  in
+  Obs.Log.info log
+    ~fields:
+      [ ("dir", Obs.Json.Str dir);
+        ("key", Obs.Json.Str entry.Warehouse.Store.e_key) ]
+    ("warehouse: run " ^ verdict)
+
 (* Export files announce themselves on stdout, after the tables. *)
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents);
@@ -298,35 +316,6 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
        | None -> [])
   in
   let trace = Option.map (fun _ -> Obs.Trace.recorder ()) timeline in
-  (* One manifest for the --journal file and the warehouse sink — the run
-     key hashes it, so a run filed as it finishes and the same journal
-     ingested later land on the same key. *)
-  let manifest ?adaptive ?stats (summary : Faults.Campaign.summary) =
-    Faults.Journal.manifest_record
-      ~technique:(Softft.technique_name technique)
-      ?stats ~counts:summary.counts ?adaptive
-      ~label:(Printf.sprintf "%s/%s/test" w.name
-                (Softft.technique_name technique))
-      ~trials:summary.trials ~seed ~domains ~checkpoint_interval:checkpoint
-      ~taint_trace:taint ~hw_window:Faults.Classify.default_hw_window
-      ~fault_kind:"register_bit" ~golden:summary.golden_info ()
-  in
-  let file_in dir ?adaptive summary results stats =
-    let verdict, (entry : Warehouse.Store.entry) =
-      match
-        Warehouse.Store.file_run
-          ~prog_digest:(Warehouse.Store.prog_digest p.Softft.prog) ~dir
-          ~manifest:(manifest ?adaptive ?stats summary) ~trials:results ()
-      with
-      | `Ingested e -> ("filed", e)
-      | `Duplicate e -> ("already filed (duplicate)", e)
-    in
-    Obs.Log.info log
-      ~fields:
-        [ ("dir", Obs.Json.Str dir);
-          ("key", Obs.Json.Str entry.Warehouse.Store.e_key) ]
-      ("warehouse: run " ^ verdict)
-  in
   let summary, results, adaptive_out =
     if not adaptive then begin
       let pg =
@@ -337,13 +326,7 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
       let summary, results =
         Softft.campaign p ~role:Workloads.Workload.Test ~trials ~seed
           ~domains ~checkpoint_interval:checkpoint ~taint_trace:taint
-          ?profile ~stats_out:stats
-          ?warehouse:
-            (Option.map
-               (fun dir summary results run_stats ->
-                 file_in dir summary results run_stats)
-               warehouse)
-          ?progress:pg ?trace
+          ?profile ~stats_out:stats ?progress:pg ?trace
       in
       (summary, results, None)
     end
@@ -363,17 +346,29 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
       let summary, results, ad =
         Faults.Campaign.run_adaptive ~seed ~domains
           ~checkpoint_interval:checkpoint ~taint_trace:taint ~stats_out:stats
-          ?warehouse:
-            (Option.map
-               (fun dir summary results run_stats ad ->
-                 file_in dir ~adaptive:ad summary results run_stats)
-               warehouse)
           ?progress_for ?trace ~bands ~max_trials ~groups
           ~group_names:Analysis.Strata.group_names ~priors ~ci subj
       in
       (summary, results, Some ad)
     end
   in
+  (* One manifest for the --journal file and the warehouse — the run key
+     hashes it, so a run filed here and the same journal ingested later
+     land on the same key. *)
+  let manifest =
+    Faults.Journal.manifest_record
+      ~technique:(Softft.technique_name technique)
+      ?stats:!stats ~counts:summary.counts ?adaptive:adaptive_out
+      ~label:(Printf.sprintf "%s/%s/test" w.name
+                (Softft.technique_name technique))
+      ~trials:summary.trials ~seed ~domains ~checkpoint_interval:checkpoint
+      ~taint_trace:taint ~hw_window:Faults.Classify.default_hw_window
+      ~fault_kind:"register_bit" ~golden:summary.golden_info ()
+  in
+  Option.iter
+    (fun dir ->
+      file_run ~log ~dir ~prog:p.Softft.prog ~manifest ~trials:results)
+    warehouse;
   (match progress_oc with Some oc -> close_out oc | None -> ());
   let golden = summary.Faults.Campaign.golden_info in
   Printf.printf "%s / %s%s\n" w.name
@@ -424,9 +419,7 @@ let run_campaign name technique_name adaptive ci trials max_trials bands
    | None -> ());
   (match journal with
    | Some path ->
-     Faults.Journal.write ?trace ~path
-       ~manifest:(manifest ?adaptive:adaptive_out ?stats:!stats summary)
-       ~trials:results ();
+     Faults.Journal.write ?trace ~path ~manifest ~trials:results ();
      Obs.Log.info log
        ~fields:
          [ ("path", Obs.Json.Str path);
@@ -652,35 +645,20 @@ let run_optimize name budget beam checkpoint validate_n seed domains ci
       (List.length knees) ci;
     let file_in dir (v : Softft.Optimize.validation)
         (p : Softft.protected) (summary : Faults.Campaign.summary) results
-        run_stats ad ~golden:(_ : Faults.Campaign.golden) =
-      let pt = v.Softft.Optimize.vl_point in
+        run_stats ad =
+      let plan = v.Softft.Optimize.vl_point.Softft.Optimize.op_plan in
       let manifest =
         Faults.Journal.manifest_record ~technique:"Planned"
-          ~plan:(Analysis.Plan.to_json pt.Softft.Optimize.op_plan)
-          ?stats:run_stats ~counts:summary.Faults.Campaign.counts
-          ~adaptive:ad
-          ~label:(Printf.sprintf "%s/%s/test" w.name
-                    (Analysis.Plan.slug pt.Softft.Optimize.op_plan))
+          ~plan:(Analysis.Plan.to_json plan) ?stats:run_stats
+          ~counts:summary.Faults.Campaign.counts ~adaptive:ad
+          ~label:(Printf.sprintf "%s/%s/test" w.name (Analysis.Plan.slug plan))
           ~trials:summary.Faults.Campaign.trials ~seed ~domains
-          ~checkpoint_interval:pt.Softft.Optimize.op_plan.Analysis.Plan.checkpoint
+          ~checkpoint_interval:plan.Analysis.Plan.checkpoint
           ~hw_window:Faults.Classify.default_hw_window
           ~fault_kind:"register_bit"
           ~golden:summary.Faults.Campaign.golden_info ()
       in
-      let verdict, (entry : Warehouse.Store.entry) =
-        match
-          Warehouse.Store.file_run
-            ~prog_digest:(Warehouse.Store.prog_digest p.Softft.prog) ~dir
-            ~manifest ~trials:results ()
-        with
-        | `Ingested e -> ("filed", e)
-        | `Duplicate e -> ("already filed (duplicate)", e)
-      in
-      Obs.Log.info log
-        ~fields:
-          [ ("dir", Obs.Json.Str dir);
-            ("key", Obs.Json.Str entry.Warehouse.Store.e_key) ]
-        ("warehouse: run " ^ verdict)
+      file_run ~log ~dir ~prog:p.Softft.prog ~manifest ~trials:results
     in
     let vals =
       Softft.Optimize.validate ~seed ~domains ~ci ~max_trials

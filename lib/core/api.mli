@@ -98,10 +98,9 @@ val overhead :
     recovery in the golden run and every trial (DESIGN.md §9).
     [taint_trace] (default false) attaches the fault-propagation tracer
     to every trial (DESIGN.md §10): outcomes stay bit-identical, trials
-    gain propagation summaries.  [profile], [on_trial], [stats_out],
-    [progress] and [trace] (the campaign flight recorder) are
-    {!Faults.Campaign.run}'s observation-only telemetry hooks, and
-    [warehouse] is its run-filing sink. *)
+    gain propagation summaries.  [profile], [stats_out], [progress] and
+    [trace] (the campaign flight recorder) are {!Faults.Campaign.run}'s
+    observation-only telemetry hooks. *)
 val campaign :
   ?hw_window:int ->
   ?seed:int ->
@@ -110,13 +109,7 @@ val campaign :
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
   ?profile:Interp.Profile.t ->
-  ?on_trial:(int -> Faults.Campaign.trial -> unit) ->
   ?stats_out:Faults.Campaign.run_stats option ref ->
-  ?warehouse:
-    (Faults.Campaign.summary ->
-    Faults.Campaign.trial list ->
-    Faults.Campaign.run_stats option ->
-    unit) ->
   ?progress:Faults.Progress.t ->
   ?trace:Obs.Trace.recorder ->
   protected ->

@@ -50,7 +50,11 @@ let evaluate ?(trials = 200) ?(seed = 0xC0FFEE) ?(role = Workloads.Workload.Test
                   ("trials", Obs.Json.Int trials) ]
               "campaign start";
             let p = Api.protect w technique in
-            let golden = Api.golden p ~role in
+            let stats = ref None in
+            let summary, (_ : Campaign.trial list) =
+              Api.campaign p ~role ~trials ~seed ?domains ~stats_out:stats
+            in
+            let golden = summary.golden_info in
             (match technique with
              | Api.Original -> baseline := Some golden
              | Api.Dup_only | Api.Dup_valchk | Api.Full_dup | Api.Cfc_only
@@ -60,10 +64,6 @@ let evaluate ?(trials = 200) ?(seed = 0xC0FFEE) ?(role = Workloads.Workload.Test
               | Some base ->
                 (float_of_int golden.cycles /. float_of_int base.cycles) -. 1.0
               | None -> 0.0
-            in
-            let stats = ref None in
-            let summary, (_ : Campaign.trial list) =
-              Api.campaign p ~role ~trials ~seed ?domains ~stats_out:stats
             in
             Obs.Log.info log
               ~fields:
@@ -413,14 +413,16 @@ let ablation ?(trials = 200) ?(seed = 0xAB1A) ?domains
   let baseline = Api.golden (Api.protect w Api.Original) ~role in
   let configuration ~label ~opt1 ~opt2 =
     let p = Api.protect ~opt1 ~opt2 w Api.Dup_valchk in
-    let overhead = Api.overhead ~baseline p ~role in
     let summary, (_ : Campaign.trial list) =
       Api.campaign p ~role ~trials ~seed ?domains
     in
     { ab_label = label;
       ab_checks = p.static_stats.value_checks;
       ab_duplicated = p.static_stats.duplicated_instrs;
-      ab_overhead = overhead;
+      ab_overhead =
+        (float_of_int summary.golden_info.cycles
+         /. float_of_int baseline.Campaign.cycles)
+        -. 1.0;
       ab_usdc =
         Campaign.percent_many summary [ Classify.Usdc_large; Classify.Usdc_small ];
       ab_swdetect = Campaign.percent summary Classify.Sw_detect }
@@ -550,17 +552,18 @@ let recovery ?(trials = 300) ?(seed = 0x5EC0) ?domains
     (w : Workloads.Workload.t) =
   let role = Workloads.Workload.Test in
   let p = Api.protect w technique in
-  let base = Api.golden p ~role in
+  let run interval =
+    Api.campaign p ~role ~trials ~seed ?domains ~checkpoint_interval:interval
+  in
+  let off = run 0 in
+  (* The recovery-off campaign's golden is the fault-free baseline. *)
+  let base = (fst off).Campaign.golden_info in
   let mean = function
     | [] -> 0.0
     | l ->
       float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
   in
-  let row interval =
-    let summary, trial_list =
-      Api.campaign p ~role ~trials ~seed ?domains
-        ~checkpoint_interval:interval
-    in
+  let row interval (summary, trial_list) =
     let golden = summary.Campaign.golden_info in
     { rc_interval = interval;
       rc_overhead =
@@ -584,7 +587,7 @@ let recovery ?(trials = 300) ?(seed = 0x5EC0) ?domains
         mean (List.map (fun (t : Campaign.trial) -> t.Campaign.checkpoints)
                 trial_list) }
   in
-  row 0 :: List.map row intervals
+  row 0 off :: List.map (fun i -> row i (run i)) intervals
 
 let print_recovery w rows =
   Report.print

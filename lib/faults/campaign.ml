@@ -152,7 +152,7 @@ let percent_many summary outcomes =
    snapshot-forked executions — the [result] already carries the full
    counters either way. *)
 let finish_trial subject ~(golden : golden) ~hw_window ~seed ~at_step
-    ~(state : run_state) (result : Interp.Machine.result) =
+    ~stratum ~(state : run_state) (result : Interp.Machine.result) =
   let outcome =
     let output = lazy (
       match result.stop with
@@ -193,13 +193,12 @@ let finish_trial subject ~(golden : golden) ~hw_window ~seed ~at_step
   { trial_seed = seed; at_step; outcome; injection = result.injection;
     detected_by; detect_latency; steps = result.steps;
     cycles = result.cycles; recovery = result.recovered;
-    checkpoints = result.checkpoints; taint = result.taint;
-    stratum = None }
+    checkpoints = result.checkpoints; taint = result.taint; stratum }
 
 (* Per-trial fault plan, drawn from the trial seed.  The [at_step] draw
    and the split both happen before execution, so the plan is a pure
-   function of ([seed], golden window) — the determinism anchor for both
-   execution strategies below. *)
+   function of ([seed], golden window) — the determinism anchor for every
+   execution strategy below. *)
 let trial_plan ~fault_kind ~(golden : golden) ~seed =
   let rng = Rng.create seed in
   (* Random in time: a dynamic instruction index within the golden window.
@@ -221,17 +220,13 @@ let trial_config ~fault ~disabled ~profile ~checkpoint_interval ~taint_trace
     disabled_checks = disabled;
     profile; checkpoint_interval; taint_trace }
 
-(** Run one fault-injection trial.  [compiled] lets campaigns lower the
-    subject program once and share it across all trials (and domains); when
-    omitted it is looked up in the per-program compile cache. *)
-let run_trial ?(fault_kind = Interp.Machine.Register_bit) ?compiled ?profile
+(** Run one fault-injection trial from scratch: a fresh run state, no
+    snapshot, no arena.  Campaigns never call it; it is the serial oracle
+    their trial runner is checked against, and a one-off replay for
+    custom drivers. *)
+let run_trial ?(fault_kind = Interp.Machine.Register_bit) ?profile
     ?(checkpoint_interval = 0) ?(taint_trace = false) subject
     ~(golden : golden) ~disabled ~hw_window ~seed =
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Interp.Compiled.cached subject.prog
-  in
   let at_step, fault = trial_plan ~fault_kind ~golden ~seed in
   let state = subject.fresh_state () in
   let config =
@@ -239,12 +234,14 @@ let run_trial ?(fault_kind = Interp.Machine.Register_bit) ?compiled ?profile
       ~golden
   in
   let result =
-    Interp.Machine.run_compiled ~config compiled ~entry:subject.entry
-      ~args:state.args ~mem:state.mem
+    Interp.Machine.run_compiled ~config
+      (Interp.Compiled.cached subject.prog)
+      ~entry:subject.entry ~args:state.args ~mem:state.mem
   in
-  finish_trial subject ~golden ~hw_window ~seed ~at_step ~state result
+  finish_trial subject ~golden ~hw_window ~seed ~at_step ~stratum:None
+    ~state result
 
-(* One worker domain's reusable trial context ({!run}'s hot path): the
+(* One worker domain's reusable trial context (the campaign hot path): the
    run state is materialized once per domain, its pristine memory image is
    captured up front, and every trial either resumes from a fork snapshot
    (which overwrites memory itself) or blits the pristine image back —
@@ -256,18 +253,15 @@ type worker_ctx = {
   wc_arena : Interp.Machine.arena;
 }
 
-(* The arena/fork trial runner: bit-identical to {!run_trial} by the
-   determinism argument of DESIGN.md §12 — the snapshot restores exactly
-   the state a from-scratch run holds at the fork step, and the arena and
-   image reset are observation-free. *)
-let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
-    ~taint_trace ~(ctx : worker_ctx) ~snaps subject ~(golden : golden)
-    ~disabled ~hw_window ~seed =
-  let at_step, fault =
-    match plan with
-    | Some p -> p
-    | None -> trial_plan ~fault_kind ~golden ~seed
-  in
+(* The campaign trial runner, for every campaign trial: bit-identical to
+   {!run_trial} by the determinism argument of DESIGN.md §12 — the
+   snapshot restores exactly the state a from-scratch run holds at the
+   fork step, and the arena and image reset are observation-free.
+   [(at_step, fault)] is the trial's precomputed plan.  A [profile]d
+   trial must run without [snaps], so it observes its whole execution. *)
+let run_trial_in ?profile ~compiled ~checkpoint_interval ~taint_trace
+    ~(ctx : worker_ctx) ~snaps subject ~(golden : golden) ~disabled
+    ~hw_window ~seed ~stratum (at_step, fault) =
   let state = ctx.wc_state in
   let resume =
     match snaps with
@@ -280,14 +274,29 @@ let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
    | Some _ -> ()
    | None -> Interp.Memory.restore_image state.mem ctx.wc_image0);
   let config =
-    trial_config ~fault ~disabled ~profile:None ~checkpoint_interval
-      ~taint_trace ~golden
+    trial_config ~fault ~disabled ~profile ~checkpoint_interval ~taint_trace
+      ~golden
   in
   let result =
     Interp.Machine.run_compiled ~config ~arena:ctx.wc_arena ?resume compiled
       ~entry:subject.entry ~args:state.args ~mem:state.mem
   in
-  finish_trial subject ~golden ~hw_window ~seed ~at_step ~state result
+  finish_trial subject ~golden ~hw_window ~seed ~at_step ~stratum ~state
+    result
+
+(* The campaign's one seed-dedup rule.  A 30-bit draw can collide with an
+   earlier one (birthday bound: a few-percent chance by ~10^4 trials), and
+   two trials with the same seed are the same trial — a silent loss of
+   statistical power.  Keep every non-colliding draw as-is (preserving the
+   historical sequence) and push a collision into the next 30-bit band
+   until unique. *)
+let fresh_seed used draw =
+  let s = ref draw in
+  while Hashtbl.mem used !s do
+    s := !s + 0x40000000
+  done;
+  Hashtbl.add used !s ();
+  !s
 
 (** All trial seeds, derived from the master RNG *before* any trial runs.
     This is the campaign determinism contract: seed assignment depends only
@@ -296,39 +305,30 @@ let run_trial_in ?plan ~fault_kind ~compiled ~checkpoint_interval
     serial loop drew from the master generator one trial at a time. *)
 let derive_seeds ~seed ~trials =
   let master = Rng.create seed in
-  let seeds = Array.make (max trials 0) 0 in
   let used = Hashtbl.create (max 16 (2 * max trials 0)) in
+  (* An explicit loop: [Array.init]'s evaluation order is unspecified. *)
+  let seeds = Array.make (max trials 0) 0 in
   for i = 0 to trials - 1 do
-    (* The 30-bit draw plus index can collide across indices (birthday
-       bound: a few-percent chance by ~10^4 trials), and two trials with
-       the same seed are the same trial — a silent loss of statistical
-       power.  Dedup deterministically: keep every non-colliding draw
-       as-is (preserving the historical sequence) and push a collision
-       into the next 30-bit band until unique. *)
-    let s = ref ((Int64.to_int (Rng.bits master) land 0x3FFFFFFF) + i) in
-    while Hashtbl.mem used !s do
-      s := !s + 0x40000000
-    done;
-    Hashtbl.add used !s ();
-    seeds.(i) <- !s
+    seeds.(i) <-
+      fresh_seed used ((Int64.to_int (Rng.bits master) land 0x3FFFFFFF) + i)
   done;
   seeds
 
+(* Snapshots the fork-capture pass aims for when no stride is given. *)
+let fork_snapshots = 32
+
 (* Golden-prefix snapshot capture (DESIGN.md §12): one extra fault-free
    pass records resumable snapshots every [stride] steps, so trials skip
-   their fault-free prefix.  Shared by the uniform and adaptive
-   schedulers.  Skipped when profiling — a profiled trial must observe
-   its whole execution, not just the post-fork suffix. *)
-let capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
-    ~trials ~checkpoint_interval ~compiled subject ~(golden : golden) =
-  if (not fork) || profile <> None || trials = 0 || golden.steps <= 1 then
-    None
+   their fault-free prefix. *)
+let capture_fork_snaps ?trace ~fork ~fork_stride ~trials ~checkpoint_interval
+    ~compiled subject ~(golden : golden) =
+  if (not fork) || trials = 0 || golden.steps <= 1 then None
   else
     Obs.Trace.with_dur trace ~cat:"campaign" "fork_capture" (fun () ->
     let stride =
       match fork_stride with
       | Some s -> max 1 s
-      | None -> max 1 (golden.steps / max 1 fork_snapshots)
+      | None -> max 1 (golden.steps / fork_snapshots)
     in
     let plan = Interp.Fork.plan ~stride in
     let state = subject.fresh_state () in
@@ -378,9 +378,9 @@ let ctx_table subject =
       Mutex.unlock ctx_lock;
       c
 
-(** Wall-clock accounting of one {!run}: where the campaign spent its
-    time, and how the trial work spread over domains.  Observation-only;
-    never feeds back into results. *)
+(** Wall-clock accounting of one campaign: where it spent its time, and
+    how the trial work spread over domains.  Observation-only; never feeds
+    back into results. *)
 type run_stats = {
   golden_sec : float;    (** the golden run alone *)
   setup_sec : float;     (** seed derivation, check disabling, compile
@@ -391,46 +391,27 @@ type run_stats = {
   pool : Pool.stats option;  (** per-domain breakdown of the trial phase *)
 }
 
-(** Run a whole campaign: one golden run plus [trials] injections.
-    [fault_kind] selects the paper's register bit flips (default) or
-    branch-target corruptions (the §IV-C complementary fault class).
-    [domains] fans the trials out over OCaml 5 domains ({!Pool}); results
-    are bit-identical to the serial run for any worker count because every
-    trial's seed is pre-derived by {!derive_seeds} and each trial executes
-    against its own fresh state.
+(* ------------------------------------------------------------------ *)
+(* The campaign engine.  {!run} and {!run_adaptive} are two schedulers *)
+(* over it: [start] is the shared prologue, [arm] the shared trial     *)
+(* phase; a scheduler only decides which (seed, plan) pairs to run.    *)
+(* ------------------------------------------------------------------ *)
 
-    The observability hooks are all optional and observation-only — any
-    combination leaves the summary and trial list bit-identical:
-    - [profile] accumulates the execution profiles of every trial
-      (per-trial instances, merged in trial order after the parallel
-      phase, so worker scheduling stays unobservable);
-    - [on_trial] receives [(index, trial)] for every trial, in
-      deterministic seed order, after the parallel phase — the journal
-      emission point;
-    - [stats_out] receives the campaign's {!run_stats};
-    - [progress] receives every trial's outcome as it completes, from
-      whichever worker domain ran it ({!Progress} is thread-safe) — the
-      live-telemetry heartbeat; its final snapshot fires before [run]
-      returns;
-    - [trace] attaches a flight recorder ({!Obs.Trace.recorder}): one
-      duration span per campaign phase (golden run, fork capture, trial
-      phase) on track 0, plus {!Pool.map}'s per-worker and per-chunk
-      spans — render with {!Obs.Trace.to_chrome}.
+type started = {
+  cs_golden : golden;
+  cs_disabled : (int, unit) Hashtbl.t;
+  cs_compiled : Interp.Compiled.t;
+  cs_t_start : float;
+  cs_t_golden : float;
+}
 
-    [taint_trace] runs every trial with the fault-propagation tracer
-    attached ({!Interp.Taint}); outcomes, step and cycle counts are
-    bit-identical to an untraced campaign, each trial just additionally
-    carries its propagation summary.  The golden run stays untraced —
-    without an injection there is nothing to seed. *)
-let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
-    ?(fault_kind = Interp.Machine.Register_bit) ?(domains = 1)
-    ?(checkpoint_interval = 0) ?(taint_trace = false) ?(fork = true)
-    ?(fork_snapshots = 32) ?fork_stride ?profile ?on_trial ?stats_out
-    ?warehouse ?progress ?trace subject ~trials =
+(* The golden run, the disabled-check set (checks that fail without a
+   fault, the paper's recover-once-then-ignore policy) and the compiled
+   program.  The golden also runs with checkpointing so its cycle count
+   carries the fault-free overhead of the recovery configuration; its
+   output and step count (the fault window) are interval-independent. *)
+let start ?trace ~checkpoint_interval subject =
   let t_start = Unix.gettimeofday () in
-  (* The golden also runs with checkpointing so its cycle count carries the
-     fault-free overhead of the recovery configuration; its output and step
-     count (the fault window) are interval-independent. *)
   let golden =
     Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
       golden_run ~checkpoint_interval subject)
@@ -438,76 +419,108 @@ let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
   let t_golden = Unix.gettimeofday () in
   let disabled = Hashtbl.create 8 in
   List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
-  let seeds = derive_seeds ~seed ~trials in
-  let compiled = Interp.Compiled.cached subject.prog in
-  let fork_snaps =
-    capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride ~profile
-      ~trials ~checkpoint_interval ~compiled subject ~golden
+  { cs_golden = golden; cs_disabled = disabled;
+    cs_compiled = Interp.Compiled.cached subject.prog;
+    cs_t_start = t_start; cs_t_golden = t_golden }
+
+(* Capture the fork snapshots and the per-domain contexts, then hand the
+   scheduler two functions:
+   - [run_batch ?profiles batch] runs the [(seed, plan, stratum)] triples
+     of [batch] in one {!Pool.map} (one [trials] span), noting each
+     outcome on [progress]; trial [i] profiles into [profiles.(i)];
+   - [finish results] closes the heartbeat, reports {!run_stats} to
+     [stats_out] and tallies the summary. *)
+let arm ?trace ?progress ?stats_out ~domains ~fork ~fork_stride ~trials
+    ~checkpoint_interval ~taint_trace ~hw_window subject cs =
+  let golden = cs.cs_golden and compiled = cs.cs_compiled in
+  let snaps =
+    capture_fork_snaps ?trace ~fork ~fork_stride ~trials ~checkpoint_interval
+      ~compiled subject ~golden
   in
   let get_ctx = ctx_table subject in
   let t_trials = Unix.gettimeofday () in
-  (* Each trial profiles into its own instance; the merge below runs in
-     trial order on the calling domain, so the aggregate is deterministic
-     and the hot path shares nothing across workers. *)
-  let trial_profiles =
-    match profile with
-    | None -> [||]
-    | Some _ -> Array.init trials (fun _ -> Interp.Profile.create ())
-  in
   let pool_stats = ref None in
-  let results =
+  let run_batch ?profiles batch =
+    let n = Array.length batch in
     Obs.Trace.with_dur trace ~cat:"campaign" "trials"
-      ~args:[ ("trials", Obs.Json.Int trials) ]
+      ~args:[ ("trials", Obs.Json.Int n) ]
     @@ fun () ->
     Pool.map ~domains ~gc:Pool.campaign_gc_tuning ~stats:pool_stats ?trace
       (fun i ->
+        let seed, plan, stratum = batch.(i) in
         let t =
-          if Array.length trial_profiles = 0 then
-            run_trial_in ~fault_kind ~compiled ~checkpoint_interval
-              ~taint_trace ~ctx:(get_ctx ()) ~snaps:fork_snaps subject
-              ~golden ~disabled ~hw_window ~seed:seeds.(i)
-          else
-            run_trial ~fault_kind ~compiled ~profile:trial_profiles.(i)
-              ~checkpoint_interval ~taint_trace subject ~golden ~disabled
-              ~hw_window ~seed:seeds.(i)
+          run_trial_in
+            ?profile:(Option.map (fun ps -> ps.(i)) profiles)
+            ~compiled ~checkpoint_interval ~taint_trace ~ctx:(get_ctx ())
+            ~snaps subject ~golden ~disabled:cs.cs_disabled ~hw_window ~seed
+            ~stratum plan
         in
-        (match progress with
-         | Some pg -> Progress.note pg t.outcome
-         | None -> ());
+        Option.iter (fun pg -> Progress.note ?stratum pg t.outcome) progress;
         t)
-      trials
-    |> Array.to_list
+      n
   in
-  (match progress with Some pg -> Progress.finish pg | None -> ());
-  let t_end = Unix.gettimeofday () in
-  (match profile with
-   | Some dst ->
-     Array.iter (fun p -> Interp.Profile.merge_into ~dst p) trial_profiles
-   | None -> ());
-  (match on_trial with
-   | Some emit -> List.iteri emit results
-   | None -> ());
-  let stats =
-    { golden_sec = t_golden -. t_start;
-      setup_sec = t_trials -. t_golden;
-      trials_sec = t_end -. t_trials;
-      wall_sec = t_end -. t_start;
-      domains = max 1 domains;
-      pool = !pool_stats }
+  let finish results =
+    Option.iter Progress.finish progress;
+    let t_end = Unix.gettimeofday () in
+    let stats =
+      { golden_sec = cs.cs_t_golden -. cs.cs_t_start;
+        setup_sec = t_trials -. cs.cs_t_golden;
+        trials_sec = t_end -. t_trials;
+        wall_sec = t_end -. cs.cs_t_start;
+        domains = max 1 domains;
+        pool = !pool_stats }
+    in
+    Option.iter (fun r -> r := Some stats) stats_out;
+    let counts =
+      List.map
+        (fun o ->
+          (o, List.length (List.filter (fun t -> t.outcome = o) results)))
+        Classify.all
+    in
+    { subject_label = subject.label; trials = List.length results; counts;
+      golden_info = golden }
   in
-  (match stats_out with Some r -> r := Some stats | None -> ());
-  let counts =
-    List.map
-      (fun o ->
-        (o, List.length (List.filter (fun t -> t.outcome = o) results)))
-      Classify.all
+  (run_batch, finish)
+
+(** Run a whole campaign: one golden run plus [trials] injections.
+    [fault_kind] selects the paper's register bit flips (default) or
+    branch-target corruptions (the §IV-C complementary fault class).
+    [domains] fans the trials out over OCaml 5 domains ({!Pool}); results
+    are bit-identical to the serial run for any worker count because every
+    trial's seed is pre-derived by {!derive_seeds} and each trial executes
+    against its own fresh state.  The hooks ([profile], [stats_out],
+    [progress], [trace]) are observation-only; see the interface. *)
+let run ?(hw_window = Classify.default_hw_window) ?(seed = 0xC0FFEE)
+    ?(fault_kind = Interp.Machine.Register_bit) ?(domains = 1)
+    ?(checkpoint_interval = 0) ?(taint_trace = false) ?(fork = true)
+    ?fork_stride ?profile ?stats_out ?progress ?trace subject ~trials =
+  let cs = start ?trace ~checkpoint_interval subject in
+  let batch =
+    Array.map
+      (fun seed ->
+        (seed, trial_plan ~fault_kind ~golden:cs.cs_golden ~seed, None))
+      (derive_seeds ~seed ~trials)
   in
-  let summary =
-    { subject_label = subject.label; trials; counts; golden_info = golden }
+  (* A profiled trial must observe its whole execution, not just the
+     post-fork suffix, so profiling runs without snapshots. *)
+  let run_batch, finish =
+    arm ?trace ?progress ?stats_out ~domains ~fork:(fork && profile = None)
+      ~fork_stride ~trials ~checkpoint_interval ~taint_trace ~hw_window
+      subject cs
   in
-  (match warehouse with
-   | Some file -> file summary results (Some stats)
-   | None -> ());
+  (* Each trial profiles into its own instance; the merge below runs in
+     trial order on the calling domain, so the aggregate is deterministic
+     and the hot path shares nothing across workers. *)
+  let profiles =
+    Option.map
+      (fun _ -> Array.map (fun _ -> Interp.Profile.create ()) batch)
+      profile
+  in
+  let results = Array.to_list (run_batch ?profiles batch) in
+  let summary = finish results in
+  (match profile, profiles with
+   | Some dst, Some ps -> Array.iter (Interp.Profile.merge_into ~dst) ps
+   | _, _ -> ());
   (summary, results)
 
 (* ------------------------------------------------------------------ *)
@@ -697,6 +710,9 @@ let shift_interval (iv : Obs.Stats.interval) extra =
     ci_low = Float.min 1.0 (iv.ci_low +. extra);
     ci_high = Float.min 1.0 (iv.ci_high +. extra) }
 
+(* Pilot trials per stratum in the adaptive scheduler's round 0. *)
+let pilot_trials = 32
+
 (** Adaptive stratified campaign (DESIGN.md §14): Neyman-style
     variance-proportional allocation over protection-group × residency-band
     strata, with per-stratum early stopping on the Wilson interval of the
@@ -713,62 +729,45 @@ let shift_interval (iv : Obs.Stats.interval) extra =
     SDC-proneness guess before any trial has run. *)
 let run_adaptive ?(hw_window = Classify.default_hw_window)
     ?(seed = 0xC0FFEE) ?(domains = 1) ?(checkpoint_interval = 0)
-    ?(taint_trace = false) ?(fork = true) ?(fork_snapshots = 32)
-    ?fork_stride ?on_trial ?stats_out ?warehouse ?progress_for ?trace
-    ?(bands = 3) ?(max_trials = 100_000) ?(round0 = 32) ~groups
+    ?(taint_trace = false) ?(fork = true) ?fork_stride ?stats_out
+    ?progress_for ?trace ?(bands = 3) ?(max_trials = 100_000) ~groups
     ~group_names ~priors ~ci subject =
-  let t_start = Unix.gettimeofday () in
   let ci = Float.max 1e-4 ci in
-  let golden =
-    Obs.Trace.with_dur trace ~cat:"campaign" "golden_run" (fun () ->
-      golden_run ~checkpoint_interval subject)
-  in
-  let t_golden = Unix.gettimeofday () in
-  let disabled = Hashtbl.create 8 in
-  List.iter (fun uid -> Hashtbl.replace disabled uid ()) golden.failing_checks;
-  let compiled = Interp.Compiled.cached subject.prog in
+  let cs = start ?trace ~checkpoint_interval subject in
+  let golden = cs.cs_golden in
   let ngroups = max 1 (Array.length group_names) in
   let cum =
-    measure_ring_masses ?trace ~checkpoint_interval ~compiled ~ngroups
-      ~groups subject ~golden
+    measure_ring_masses ?trace ~checkpoint_interval ~compiled:cs.cs_compiled
+      ~ngroups ~groups subject ~golden
   in
   let plan =
     build_strata ~groups ~group_names ~priors ~bands
       ~window:(golden.steps - 1) cum
   in
   let nstrata = Array.length plan.sp_strata in
-  let fork_snaps =
-    capture_fork_snaps ?trace ~fork ~fork_snapshots ~fork_stride
-      ~profile:None ~trials:max_trials ~checkpoint_interval ~compiled
-      subject ~golden
-  in
-  let get_ctx = ctx_table subject in
   let progress =
     match progress_for with
     | Some f when nstrata > 0 -> Some (f ~nstrata ~total:max_trials)
     | Some _ | None -> None
   in
-  let t_trials = Unix.gettimeofday () in
+  let run_batch, finish =
+    arm ?trace ?progress ?stats_out ~domains ~fork ~fork_stride
+      ~trials:max_trials ~checkpoint_interval ~taint_trace ~hw_window subject
+      cs
+  in
   (* Per-stratum deterministic seed streams, split from the master in
      ascending stratum order (an explicit loop: [Array.init]'s evaluation
-     order is unspecified).  Seeds are deduped across *all* strata with
-     the same bump-into-a-higher-band rule as {!derive_seeds}, so no two
-     trials of the campaign silently share a seed. *)
+     order is unspecified).  Seeds are deduped across *all* strata by
+     {!fresh_seed}, so no two trials of the campaign silently share a
+     seed. *)
   let master = Rng.create seed in
-  let streams =
-    Array.init nstrata (fun _ -> master)
-  in
+  let streams = Array.make nstrata master in
   for i = 0 to nstrata - 1 do
     streams.(i) <- Rng.split master
   done;
   let used = Hashtbl.create 1024 in
   let next_seed sid =
-    let s = ref (Int64.to_int (Rng.bits streams.(sid)) land 0x3FFFFFFF) in
-    while Hashtbl.mem used !s do
-      s := !s + 0x40000000
-    done;
-    Hashtbl.add used !s ();
-    !s
+    fresh_seed used (Int64.to_int (Rng.bits streams.(sid)) land 0x3FFFFFFF)
   in
   let counts = Array.make_matrix (max 1 nstrata) n_outcomes 0 in
   let ns = Array.make (max 1 nstrata) 0 in
@@ -798,61 +797,30 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
   let stratum_half i =
     half (Obs.Stats.wilson ~k:(sdc_k i) ~n:ns.(i) ())
   in
-  let pool_stats = ref None in
   let rev_trials = ref [] in
-  let run_batch batch =
-    let n = Array.length batch in
-    if n > 0 then begin
-      let results =
-        Obs.Trace.with_dur trace ~cat:"campaign" "trials"
-          ~args:[ ("trials", Obs.Json.Int n) ]
-        @@ fun () ->
-        Pool.map ~domains ~gc:Pool.campaign_gc_tuning ~stats:pool_stats
-          ?trace
-          (fun i ->
-            let sid, tseed = batch.(i) in
-            let s = plan.sp_strata.(sid) in
-            let tp = adaptive_trial_plan plan s ~seed:tseed in
-            let t =
-              run_trial_in ~plan:tp
-                ~fault_kind:Interp.Machine.Register_bit ~compiled
-                ~checkpoint_interval ~taint_trace ~ctx:(get_ctx ())
-                ~snaps:fork_snaps subject ~golden ~disabled ~hw_window
-                ~seed:tseed
-            in
-            let t = { t with stratum = Some sid } in
-            (match progress with
-             | Some pg -> Progress.note ~stratum:sid pg t.outcome
-             | None -> ());
-            t)
-          n
-      in
-      Array.iteri
-        (fun i t ->
-          let sid, _ = batch.(i) in
-          counts.(sid).(outcome_index t.outcome)
-          <- counts.(sid).(outcome_index t.outcome) + 1;
-          ns.(sid) <- ns.(sid) + 1;
-          incr total;
-          rev_trials := t :: !rev_trials)
-        results
-    end
-  in
-  (* Allocation → batch: the batch array is built serially (stratum
-     ascending, then per-stratum draw order), so the seed sequence — and
-     with it every trial — is a pure function of the allocation counts. *)
-  let batch_of alloc =
-    let n = Array.fold_left ( + ) 0 alloc in
-    let batch = Array.make (max 1 n) (0, 0) in
-    let j = ref 0 in
+  (* Allocation → batch: the batch is built serially (stratum ascending,
+     then per-stratum draw order), so the seed sequence — and with it
+     every trial — is a pure function of the allocation counts. *)
+  let run_alloc alloc =
+    let batch = ref [] in
     Array.iteri
       (fun sid a ->
+        let s = plan.sp_strata.(sid) in
         for _ = 1 to a do
-          batch.(!j) <- (sid, next_seed sid);
-          incr j
+          let tseed = next_seed sid in
+          batch := (tseed, adaptive_trial_plan plan s ~seed:tseed, Some sid)
+                   :: !batch
         done)
       alloc;
-    if n = 0 then [||] else batch
+    Array.iter
+      (fun t ->
+        let sid = Option.get t.stratum in
+        counts.(sid).(outcome_index t.outcome)
+        <- counts.(sid).(outcome_index t.outcome) + 1;
+        ns.(sid) <- ns.(sid) + 1;
+        incr total;
+        rev_trials := t :: !rev_trials)
+      (run_batch (Array.of_list (List.rev !batch)))
   in
   if nstrata > 0 && max_trials > 0 then begin
     (* Round 0: a fixed pilot per stratum (ascending order, capped by the
@@ -861,11 +829,11 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
     let remaining = ref max_trials in
     Array.iteri
       (fun sid _ ->
-        let a = min round0 !remaining in
+        let a = min pilot_trials !remaining in
         alloc0.(sid) <- a;
         remaining := !remaining - a)
       plan.sp_strata;
-    run_batch (batch_of alloc0);
+    run_alloc alloc0;
     let continue = ref true in
     while !continue do
       let combined = sdc_interval () in
@@ -914,34 +882,12 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
             active
         end;
         if Array.fold_left ( + ) 0 alloc = 0 then continue := false
-        else run_batch (batch_of alloc)
+        else run_alloc alloc
       end
     done
   end;
-  (match progress with Some pg -> Progress.finish pg | None -> ());
-  let t_end = Unix.gettimeofday () in
   let results = List.rev !rev_trials in
-  (match on_trial with
-   | Some emit -> List.iteri emit results
-   | None -> ());
-  let stats =
-    { golden_sec = t_golden -. t_start;
-      setup_sec = t_trials -. t_golden;
-      trials_sec = t_end -. t_trials;
-      wall_sec = t_end -. t_start;
-      domains = max 1 domains;
-      pool = !pool_stats }
-  in
-  (match stats_out with Some r -> r := Some stats | None -> ());
-  let sum_counts =
-    List.map
-      (fun o ->
-        let j = outcome_index o in
-        let k = ref 0 in
-        for i = 0 to nstrata - 1 do k := !k + counts.(i).(j) done;
-        (o, !k))
-      Classify.all
-  in
+  let summary = finish results in
   let stratum_stats =
     Array.map
       (fun (s : stratum) ->
@@ -985,13 +931,6 @@ let run_adaptive ?(hw_window = Classify.default_hw_window)
         Obs.Stats.equivalent_uniform_trials ~p:sdc.ci_estimate
           ~half_width:achieved_half () }
   in
-  let summary =
-    { subject_label = subject.label; trials = !total; counts = sum_counts;
-      golden_info = golden }
-  in
-  (match warehouse with
-   | Some file -> file summary results (Some stats) adaptive
-   | None -> ());
   (summary, results, adaptive)
 
 (** Mean of per-subject percentages, the paper's cross-benchmark average. *)

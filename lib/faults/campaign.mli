@@ -91,13 +91,13 @@ val percent : summary -> Classify.outcome -> float
 
 val percent_many : summary -> Classify.outcome list -> float
 
-(** One fault-injection trial; exposed for custom drivers (the bench
-    harness and the image-pipeline example).  [compiled] lets a driver
-    lower the subject program once and reuse it across trials; when
-    omitted the per-program compile cache is consulted. *)
+(** One fault-injection trial, run from scratch: a fresh run state, no
+    fork snapshot, no arena.  Campaigns never call it — their trials go
+    through one internal runner that resumes from snapshots — so it is
+    the serial oracle that runner is checked against bit for bit, and a
+    one-off replay for custom drivers. *)
 val run_trial :
   ?fault_kind:Interp.Machine.fault_kind ->
-  ?compiled:Interp.Compiled.t ->
   ?profile:Interp.Profile.t ->
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
@@ -118,7 +118,7 @@ val run_trial :
     silently the same trial. *)
 val derive_seeds : seed:int -> trials:int -> int array
 
-(** Wall-clock accounting of one {!run}; observation-only. *)
+(** Wall-clock accounting of one campaign; observation-only. *)
 type run_stats = {
   golden_sec : float;    (** the golden run alone *)
   setup_sec : float;     (** seed derivation, check disabling, compile
@@ -141,21 +141,15 @@ type run_stats = {
 
     Observability hooks, all observation-only (any combination leaves
     results bit-identical): [profile] accumulates every trial's execution
-    profile (merged in trial order); [on_trial] is called with
-    [(index, trial)] for each trial in deterministic seed order after the
-    parallel phase — the journal emission point; [stats_out] receives the
-    campaign's {!run_stats}; [warehouse] is a filing sink invoked once,
-    after every other hook, with the finished summary, the full trial
-    list and the run's stats — the attachment point for a content-
-    addressed run store ([Warehouse.Store.campaign_sink]), so sweeps file
-    each subject's results the moment that subject completes; [progress]
-    receives every trial's outcome as
-    it completes, from whichever worker domain ran it (the {!Progress}
+    profile (merged in trial order); [stats_out] receives the campaign's
+    {!run_stats}; [progress] receives every trial's outcome as it
+    completes, from whichever worker domain ran it (the {!Progress}
     heartbeat — its final snapshot fires before [run] returns); [trace]
     attaches a flight recorder ({!Obs.Trace.recorder}) that records one
     duration span per campaign phase (golden run, fork capture, trial
     phase) on track 0 plus {!Pool.map}'s per-worker/per-chunk spans —
-    render the timeline with {!Obs.Trace.to_chrome}.
+    render the timeline with {!Obs.Trace.to_chrome}.  Journaling and
+    warehouse filing work on the returned summary and trial list.
 
     [taint_trace] (default false) attaches the fault-propagation tracer
     ({!Interp.Taint}) to every trial: outcomes, step and cycle counts stay
@@ -168,13 +162,13 @@ type run_stats = {
     newest snapshot strictly before its injection step instead of
     re-executing the fault-free prefix.  Trials are bit-identical with
     forking on or off — outcomes, steps, cycles, everything a {!trial}
-    records.  [fork_snapshots] (default 32) sets how many snapshots the
-    capture pass aims for (stride = golden steps / [fork_snapshots]);
-    [fork_stride] overrides the stride directly.  A stride larger than the
-    golden run captures nothing and the campaign degrades to from-scratch
-    trials; likewise when the capture pass fails to replay the golden run
-    exactly, or when [profile] is set (a profiled trial must observe its
-    whole execution, not just the post-fork suffix). *)
+    records.  The capture pass aims for 32 snapshots (stride = golden
+    steps / 32); [fork_stride] overrides the stride directly.  A stride
+    larger than the golden run captures nothing and the campaign degrades
+    to from-scratch trials; likewise when the capture pass fails to
+    replay the golden run exactly, or when [profile] is set (a profiled
+    trial must observe its whole execution, not just the post-fork
+    suffix). *)
 val run :
   ?hw_window:int ->
   ?seed:int ->
@@ -183,12 +177,9 @@ val run :
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
   ?fork:bool ->
-  ?fork_snapshots:int ->
   ?fork_stride:int ->
   ?profile:Interp.Profile.t ->
-  ?on_trial:(int -> trial -> unit) ->
   ?stats_out:run_stats option ref ->
-  ?warehouse:(summary -> trial list -> run_stats option -> unit) ->
   ?progress:Progress.t ->
   ?trace:Obs.Trace.recorder ->
   subject ->
@@ -296,12 +287,13 @@ type adaptive = {
     [groups] maps program register codes to protection groups (from
     [Analysis.Strata], but any partition works); [group_names] labels
     them; [priors] gives each group's static SDC-proneness guess.
-    [bands] (default 3) residency bands per group; [round0] (default 32)
-    pilot trials per stratum.  [progress_for] builds the heartbeat once
-    the stratum count is known (create it with [~strata:nstrata] to get
+    [bands] (default 3) residency bands per group; round 0 runs 32 pilot
+    trials per stratum.  [progress_for] builds the heartbeat once the
+    stratum count is known (create it with [~strata:nstrata] to get
     per-stratum counters); other hooks are as in {!run}, all
-    observation-only — the [warehouse] filing sink additionally receives
-    the {!adaptive} result so a v5 run files with its strata intact. *)
+    observation-only.  {!run} and [run_adaptive] share one engine — the
+    golden run, fork capture, per-domain trial contexts and batch
+    executor — and differ only in which trials they schedule. *)
 val run_adaptive :
   ?hw_window:int ->
   ?seed:int ->
@@ -309,16 +301,12 @@ val run_adaptive :
   ?checkpoint_interval:int ->
   ?taint_trace:bool ->
   ?fork:bool ->
-  ?fork_snapshots:int ->
   ?fork_stride:int ->
-  ?on_trial:(int -> trial -> unit) ->
   ?stats_out:run_stats option ref ->
-  ?warehouse:(summary -> trial list -> run_stats option -> adaptive -> unit) ->
   ?progress_for:(nstrata:int -> total:int -> Progress.t) ->
   ?trace:Obs.Trace.recorder ->
   ?bands:int ->
   ?max_trials:int ->
-  ?round0:int ->
   groups:int array ->
   group_names:string array ->
   priors:float array ->

@@ -9,8 +9,7 @@
     with schema version, config, golden reference data, timings and
     per-domain breakdown), followed by one [{"type":"trial",…}] record
     per trial, in deterministic seed order.  Journals are produced by
-    {!write} from a completed campaign, or streamed through
-    {!Campaign.run}'s [on_trial] hook using {!trial_record}. *)
+    {!write} from a completed campaign's summary and trial list. *)
 
 (** Journal schema identifier, bumped on layout changes.  v2 added the
     recovery configuration to the manifest ([checkpoint_interval]) and

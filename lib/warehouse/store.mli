@@ -84,10 +84,10 @@ val ingest :
   string ->
   [ `Ingested of entry | `Duplicate of entry ]
 
-(** File a finished campaign straight from memory — the body of the
-    [?warehouse] sink of {!Faults.Campaign.run}/[run_adaptive]: writes
-    the journal ([manifest] plus [trials]) to [runs/<key>.jsonl] and
-    indexes it, or does nothing when the key is already filed. *)
+(** File a finished campaign straight from memory — the summary and
+    trial list {!Faults.Campaign.run}/[run_adaptive] return: writes the
+    journal ([manifest] plus [trials]) to [runs/<key>.jsonl] and indexes
+    it, or does nothing when the key is already filed. *)
 val file_run :
   ?prog_digest:string ->
   dir:string ->

@@ -491,6 +491,69 @@ let test_fork_stride_beyond_run_degrades () =
     ~checkpoint_interval:0 ~taint_trace:false (array_sum_subject ())
     ~trials:20 ~seed:7
 
+(* The campaign fast path (snapshot forking, per-domain arenas, parallel
+   batches) against the serial from-scratch oracle [run_trial]: every
+   trial must match the oracle's trial for the same seed, and a profiled
+   campaign's merged profile must equal the oracle trials' profiles
+   merged in seed order.  Checkpointing and taint tracing are crossed in
+   because they are where a resumed, arena-backed trial differs most from
+   a fresh run (rollback over recycled frames, shadow-taint summaries). *)
+let test_campaign_matches_oracle () =
+  let profile_view p =
+    ( Interp.Profile.total_instrs p,
+      Interp.Profile.opcode_rows p,
+      Interp.Profile.check_rows p,
+      Interp.Profile.hot_blocks ~limit:max_int p )
+  in
+  let check_config (w : Workloads.Workload.t)
+      (checkpoint_interval, taint_trace) =
+    let label = Printf.sprintf "%s ckpt=%d taint=%b" w.name
+        checkpoint_interval taint_trace in
+    let p = Softft.protect w Softft.Dup_valchk in
+    let subject = Softft.subject p ~role:Workloads.Workload.Test in
+    let run ?profile ?fork () =
+      Faults.Campaign.run subject ~trials:4 ~seed:4242 ~domains:2
+        ~checkpoint_interval ~taint_trace ?profile ?fork
+    in
+    let summary, trials = run ~fork:true () in
+    let golden = summary.Faults.Campaign.golden_info in
+    let disabled = Hashtbl.create 8 in
+    List.iter
+      (fun uid -> Hashtbl.replace disabled uid ())
+      golden.Faults.Campaign.failing_checks;
+    let oracle ?profile (t : Faults.Campaign.trial) =
+      Faults.Campaign.run_trial ?profile ~checkpoint_interval ~taint_trace
+        subject ~golden ~disabled
+        ~hw_window:Faults.Classify.default_hw_window ~seed:t.trial_seed
+    in
+    List.iter
+      (fun (t : Faults.Campaign.trial) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: trial %d matches the oracle" label
+             t.trial_seed)
+          true
+          (Faults.Campaign.trial_equal t (oracle t)))
+      trials;
+    let merged = Interp.Profile.create () in
+    let (_ : Faults.Campaign.summary), profiled = run ~profile:merged () in
+    let expected = Interp.Profile.create () in
+    List.iter
+      (fun t ->
+        let own = Interp.Profile.create () in
+        let (_ : Faults.Campaign.trial) = oracle ~profile:own t in
+        Interp.Profile.merge_into ~dst:expected own)
+      profiled;
+    Alcotest.(check bool) (label ^ ": profiled trials unchanged") true
+      (Faults.Campaign.trials_equal trials profiled);
+    Alcotest.(check bool) (label ^ ": merged profile matches the oracle")
+      true
+      (profile_view merged = profile_view expected)
+  in
+  List.iter
+    (fun w ->
+      List.iter (check_config w) [ (0, false); (1_000, false); (1_000, true) ])
+    Workloads.Registry.all
+
 let test_fork_parallel_identical () =
   (* Forking and domain parallelism compose: snapshots are shared
      read-only across workers, so worker count stays unobservable. *)
@@ -660,6 +723,8 @@ let tests =
       test_fork_stride_beyond_run_degrades;
     Alcotest.test_case "fork: parallel identical" `Quick
       test_fork_parallel_identical;
+    Alcotest.test_case "campaign: trials match the from-scratch oracle"
+      `Quick test_campaign_matches_oracle;
     Alcotest.test_case "adaptive: deterministic across reruns and domains"
       `Quick test_adaptive_deterministic;
     Alcotest.test_case "adaptive: masses and tallies account for everything"
