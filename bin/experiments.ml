@@ -263,7 +263,7 @@ let taint_arg =
   let doc =
     "Trace fault propagation: every trial carries a shadow taint bit per \
      register and memory word, seeded at the injection, and records a \
-     propagation summary in the journal (schema v3).  Observation-only: \
+     propagation summary in the journal.  Observation-only: \
      outcomes and costs are bit-identical either way."
   in
   Arg.(value & flag & info [ "taint" ] ~doc)
@@ -937,96 +937,6 @@ let report_cmd =
     (Cmd.info "report" ~doc)
     Term.(const run_report $ journal_path_arg $ strata_arg $ csv_arg)
 
-let run_bench_diff old_path new_path tolerance require_same_host =
-  (* "latest:<warehouse-dir>" names the most recently ingested bench
-     snapshot — CI points the baseline at its warehouse instead of
-     shuffling BENCH_campaign.json copies around. *)
-  let resolve path =
-    match String.length path > 7 && String.sub path 0 7 = "latest:" with
-    | false -> path
-    | true ->
-      let dir = String.sub path 7 (String.length path - 7) in
-      (match Warehouse.Store.latest_bench ~dir with
-       | Some p -> p
-       | None ->
-         prerr_endline
-           (Printf.sprintf
-              "experiments bench-diff: no bench snapshot ingested in %s" dir);
-         exit 1)
-  in
-  let old_path = resolve old_path and new_path = resolve new_path in
-  let load path =
-    match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all)
-    with
-    | j -> j
-    | exception Obs.Json.Parse_error msg ->
-      prerr_endline
-        (Printf.sprintf "experiments bench-diff: %s: %s" path msg);
-      exit 1
-    | exception Sys_error msg ->
-      prerr_endline ("experiments bench-diff: " ^ msg);
-      exit 1
-  in
-  let d =
-    Softft.Experiments.bench_diff ~tolerance_pct:tolerance (load old_path)
-      (load new_path)
-  in
-  Softft.Experiments.print_bench_diff d;
-  (* The gate standing down must never be silent: a mismatched host means
-     the deltas carry no pass/fail information, so say so on stderr (the
-     table goes to stdout and is easy to redirect away) — and let CI turn
-     the mismatch itself into a failure. *)
-  (match Softft.Experiments.bench_diff_host_warning d with
-   | Some warning ->
-     prerr_endline ("experiments bench-diff: " ^ warning);
-     if require_same_host then begin
-       prerr_endline
-         "experiments bench-diff: --require-same-host: host mismatch is an \
-          error";
-       exit 1
-     end
-   | None -> ());
-  if Softft.Experiments.bench_diff_regressions d <> [] then exit 1
-
-let bench_old_arg =
-  let doc =
-    "Baseline BENCH_campaign.json — a file, or latest:$(i,DIR) for the \
-     most recent bench snapshot ingested into the warehouse at $(i,DIR)."
-  in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc)
-
-let bench_new_arg =
-  let doc = "Freshly measured BENCH_campaign.json to compare against OLD." in
-  Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc)
-
-let tolerance_arg =
-  let doc =
-    "Regression tolerance in percent: a gated trials/sec metric that drops \
-     more than $(docv) percent flags a regression (nonzero exit)."
-  in
-  Arg.(value & opt float 15.0 & info [ "tolerance" ] ~docv:"PCT" ~doc)
-
-let require_same_host_arg =
-  let doc =
-    "Treat a host_cores mismatch between the two runs as an error (exit 1) \
-     instead of a warned stand-down of the regression gate."
-  in
-  Arg.(value & flag & info [ "require-same-host" ] ~doc)
-
-let bench_diff_cmd =
-  let doc =
-    "Compare two BENCH_campaign.json runs per workload (trials/sec and \
-     speedup deltas) and exit nonzero on a throughput regression beyond \
-     the tolerance — but only when both runs report the same host_cores, \
-     so numbers from different machines never fail the gate (a mismatch is \
-     warned on stderr; $(b,--require-same-host) makes it fatal)."
-  in
-  Cmd.v
-    (Cmd.info "bench-diff" ~doc)
-    Term.(
-      const run_bench_diff $ bench_old_arg $ bench_new_arg $ tolerance_arg
-      $ require_same_host_arg)
-
 (* ------------------------------------------------------------------ *)
 (* The campaign warehouse: ingest, history, diff-runs, regress, heatmap *)
 
@@ -1059,44 +969,26 @@ let run_ingest dir files =
     | `Duplicate e ->
       Printf.printf "duplicate  %s  %s\n" e.Warehouse.Store.e_key path
   in
-  let ingest_bench path =
-    match
-      Obs.Json.parse (In_channel.with_open_text path In_channel.input_all)
-    with
-    | j when Obs.Json.member "workloads" j <> None ->
-      (match Warehouse.Store.ingest_bench ~dir path with
-       | `Ingested rel -> Printf.printf "filed      %s  %s\n" rel path
-       | `Duplicate rel -> Printf.printf "duplicate  %s  %s\n" rel path)
-    | _ | (exception Obs.Json.Parse_error _) ->
-      prerr_endline
-        (Printf.sprintf
-           "experiments ingest: %s is neither a campaign journal nor a \
-            BENCH_campaign.json snapshot"
-           path);
-      exit 1
-  in
   List.iter
     (fun path ->
       match ingest_journal path with
       | () -> ()
-      | exception Faults.Journal.Malformed _ -> ingest_bench path
+      | exception Faults.Journal.Malformed msg ->
+        prerr_endline (Printf.sprintf "experiments ingest: %s: %s" path msg);
+        exit 1
       | exception Sys_error msg ->
         prerr_endline ("experiments ingest: " ^ msg);
         exit 1)
     files
 
 let ingest_files_arg =
-  let doc =
-    "Campaign journals (.jsonl) and/or BENCH_campaign.json snapshots to \
-     file (auto-detected by content)."
-  in
+  let doc = "Campaign journals (.jsonl) to file." in
   Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc)
 
 let ingest_cmd =
   let doc =
-    "File journals and bench snapshots into the campaign warehouse: \
-     content-addressed by run key, so re-ingesting anything already filed \
-     is a no-op."
+    "File journals into the campaign warehouse: content-addressed by run \
+     key, so re-ingesting anything already filed is a no-op."
   in
   Cmd.v
     (Cmd.info "ingest" ~doc)
@@ -1249,25 +1141,32 @@ let diff_runs_cmd =
     (Cmd.info "diff-runs" ~doc)
     Term.(const run_diff_runs $ warehouse_opt_arg $ diff_old_arg $ diff_new_arg)
 
-let load_index path =
-  match
-    if Sys.file_exists path && Sys.is_directory path then
-      Warehouse.Store.entries ~dir:path
-    else Warehouse.Store.entries_of_file path
-  with
-  | entries -> entries
-  | exception Failure msg ->
-    prerr_endline ("experiments regress: " ^ msg);
-    exit 1
-
-let run_regress baseline current tolerance =
+let run_regress baseline current tolerance require_same_host =
   let g =
-    Warehouse.Store.regress ?tolerance_pct:tolerance
-      ~baseline:(load_index baseline) ~current:(load_index current) ()
+    match
+      Warehouse.Store.regress_paths ?tolerance_pct:tolerance ~baseline
+        ~current ()
+    with
+    | g -> g
+    | exception Failure msg ->
+      prerr_endline ("experiments regress: " ^ msg);
+      exit 1
   in
-  (match g.Warehouse.Store.rx_rows with
-   | [] -> print_endline "no configuration present in both indexes"
-   | rows ->
+  (match (g.Warehouse.Store.rx_rows, g.rx_bench) with
+   | [], [] -> print_endline "no configuration present in both indexes"
+   | [], bench ->
+     Softft.Report.print ~title:"throughput gate"
+       ~header:[ "workload"; "metric"; "old"; "new"; "delta" ]
+       ~rows:
+         (List.map
+            (fun (r : Warehouse.Store.bench_row) ->
+              [ r.bw_workload; r.bw_metric;
+                Printf.sprintf "%.2f" r.bw_old;
+                Printf.sprintf "%.2f" r.bw_new;
+                Printf.sprintf "%+.1f%%%s" r.bw_delta_pct
+                  (if r.bw_regressed then "  REGRESSION" else "") ])
+            bench)
+   | rows, _ ->
      Softft.Report.print ~title:"coverage gate"
        ~header:[ "configuration"; "old SDC"; "new SDC"; "Δpts"; "verdict" ]
        ~rows:
@@ -1297,44 +1196,70 @@ let run_regress baseline current tolerance =
   in
   list_only "baseline" g.rx_only_old;
   list_only "current" g.rx_only_new;
-  match g.rx_failures with
-  | [] -> print_endline "regress: gate green"
-  | failures ->
-    List.iter (fun m -> prerr_endline ("experiments regress: " ^ m)) failures;
-    exit 1
+  (* The gate standing down must never be silent: the tables go to stdout
+     and are easy to redirect away, so each stand-down is warned on
+     stderr — and --require-same-host turns it into a failure. *)
+  let failures =
+    g.rx_failures
+    @
+    if require_same_host && g.rx_stood_down <> [] then
+      [ "--require-same-host: host mismatch is an error" ]
+    else []
+  in
+  List.iter
+    (fun m -> prerr_endline ("experiments regress: " ^ m))
+    (g.rx_stood_down @ failures);
+  if failures <> [] then exit 1;
+  print_endline "regress: gate green"
 
 let baseline_arg =
   let doc =
-    "Baseline warehouse index: a directory, or an index.jsonl snapshot \
-     (e.g. the committed WAREHOUSE_baseline.jsonl)."
+    "Baseline: a warehouse directory, an index.jsonl snapshot (e.g. the \
+     committed WAREHOUSE_baseline.jsonl), or a BENCH_campaign.json \
+     snapshot."
   in
   Arg.(
     required & opt (some string) None & info [ "baseline" ] ~docv:"PATH" ~doc)
 
 let current_arg =
-  let doc = "Current warehouse index: a directory or an index.jsonl file." in
+  let doc =
+    "Current run set, of the same kind as the baseline: a warehouse \
+     directory, an index.jsonl file, or a BENCH_campaign.json snapshot."
+  in
   Arg.(
     required & opt (some string) None & info [ "current" ] ~docv:"PATH" ~doc)
 
 let regress_tolerance_arg =
   let doc =
     "Also gate throughput: fail when trials/s drops more than $(docv) \
-     percent between runs on the same host_cores (default: coverage gate \
-     only)."
+     percent, per matched run pair or per bench workload (serial and \
+     parallel).  Only rates from the same host_cores are judged; any \
+     other pair stands the throughput gate down with a SKIPPED warning on \
+     stderr (default: coverage gate only)."
   in
   Arg.(
     value & opt (some float) None & info [ "tolerance" ] ~docv:"PCT" ~doc)
 
+let require_same_host_arg =
+  let doc =
+    "Treat a throughput stand-down (host_cores missing or different) as \
+     an error (exit 1) instead of a warning."
+  in
+  Arg.(value & flag & info [ "require-same-host" ] ~doc)
+
 let regress_cmd =
   let doc =
-    "The cross-run regression gate: match baseline and current runs by \
-     configuration identity and fail (exit 1) when any SDC rate rose with \
-     disjoint Wilson 95% intervals — bench-diff generalised to coverage."
+    "The one regression gate.  For warehouse indexes, match baseline and \
+     current runs by configuration identity and fail (exit 1) when any \
+     SDC rate rose with disjoint Wilson 95% intervals.  For two \
+     BENCH_campaign.json snapshots, show per-workload throughput deltas. \
+     With $(b,--tolerance), throughput drops beyond it fail too."
   in
   Cmd.v
     (Cmd.info "regress" ~doc)
     Term.(
-      const run_regress $ baseline_arg $ current_arg $ regress_tolerance_arg)
+      const run_regress $ baseline_arg $ current_arg $ regress_tolerance_arg
+      $ require_same_host_arg)
 
 let run_heatmap name technique_name journal warehouse csv html =
   let w = Workloads.Registry.find name in
@@ -1569,7 +1494,7 @@ let main_cmd =
     (Cmd.info "experiments" ~version:"1.0.0" ~doc)
     [ all_cmd; study_cmd; campaign_cmd; coverage_cmd;
       optimize_cmd; lint_cmd;
-      report_cmd; bench_diff_cmd; ingest_cmd; history_cmd; diff_runs_cmd;
+      report_cmd; ingest_cmd; history_cmd; diff_runs_cmd;
       regress_cmd; heatmap_cmd; table1_cmd; dump_cmd; trace_cmd;
       trace_fault_cmd ]
 

@@ -759,6 +759,20 @@ let write_csv path results =
    Faults.Journal) into the paper-style per-check and latency views that
    the end-of-campaign summary tables discard ----- *)
 
+(* Journal outcomes are spelled by Classify.name; decide on the parsed
+   outcome so the SDC rule lives in Classify.is_sdc alone.  A name from a
+   future schema is neither SDC nor detected. *)
+let outcome_is_sdc name =
+  match Classify.of_name name with
+  | Some o -> Classify.is_sdc o
+  | None -> false
+
+let outcome_is_detected name =
+  match Classify.of_name name with
+  | Some (Classify.Sw_detect | Classify.Recovered | Classify.Unrecoverable) ->
+    true
+  | Some _ | None -> false
+
 (* [stats] is the manifest's final-stats object (["stats"], journal v4+).
    The CI column renders only from it: a pre-v4 journal carries no final
    intervals, and recomputing them from replayed views would silently
@@ -1186,16 +1200,14 @@ let print_journal_adaptive ad =
         let n = i "trials" in
         let sdc_k =
           match Obs.Json.member "counts" s with
-          | Some counts ->
+          | Some (Obs.Json.Obj counts) ->
             List.fold_left
-              (fun acc name ->
-                acc
-                + Option.value ~default:0
-                    (Option.bind (Obs.Json.member name counts)
-                       Obs.Json.to_int))
-              0
-              [ "ASDC"; "USDC(large)"; "USDC(small)" ]
-          | None -> 0
+              (fun acc (name, k) ->
+                if outcome_is_sdc name then
+                  acc + Option.value ~default:0 (Obs.Json.to_int k)
+                else acc)
+              0 counts
+          | Some _ | None -> 0
         in
         [ string_of_int (i "id");
           Option.value ~default:"?"
@@ -1392,87 +1404,87 @@ let coverage_reg_csv (cov : Analysis.Coverage.t) =
     (Analysis.Coverage.ranked_regs cov);
   Buffer.contents buf
 
-(* A journal outcome spells silent corruption when the output differed
-   without any detector firing (ASDC keeps the corruption silent even
-   though the quality stays acceptable). *)
-let outcome_is_sdc = function
-  | "ASDC" | "USDC(large)" | "USDC(small)" -> true
-  | _ -> false
+(* One pass over the journal: bucket every injected trial by the
+   protection status of the register it hit and tally each bucket's
+   outcome mix.  Buckets come in status order, "(unmapped)" last, and
+   empty ones are dropped. *)
+type hit_bucket = {
+  hb_name : string;
+  hb_trials : int;
+  hb_sdc : int;
+  hb_detected : int;
+  hb_masked : int;
+}
 
-let outcome_is_detected = function
-  | "SWDetect" | "Recovered" | "Unrecoverable" -> true
-  | _ -> false
-
-(** Join the static classification with a campaign journal: bucket every
-    injected trial by the protection status of the register it hit and
-    measure each bucket's outcome mix.  The validation the analyzer
-    exists for: unprotected slots must show a higher measured SDC rate
-    than checked ones. *)
-let coverage_vs_journal_rows (cov : Analysis.Coverage.t)
+let buckets_by_hit_status (cov : Analysis.Coverage.t)
     (views : Faults.Journal.view list) =
+  let names =
+    List.map Analysis.Coverage.status_name coverage_statuses
+    @ [ "(unmapped)" ]
+  in
   let status_of_reg = Analysis.Coverage.reg_status cov in
-  let bucket_of (v : Faults.Journal.view) =
-    Option.map
-      (fun reg ->
-        match status_of_reg reg with
-        | Some st -> Analysis.Coverage.status_name st
-        | None -> "(unmapped)")
-      v.v_inj_reg
-  in
-  let row_of name =
-    let hits =
-      List.filter (fun v -> bucket_of v = Some name) views
-    in
-    match hits with
-    | [] -> None
-    | _ :: _ ->
-      let n = List.length hits in
-      let count pred =
-        List.length
-          (List.filter
-             (fun (v : Faults.Journal.view) -> pred v.v_outcome)
-             hits)
+  let tally = Hashtbl.create 8 in
+  List.iter
+    (fun (v : Faults.Journal.view) ->
+      Option.iter
+        (fun reg ->
+          let name =
+            match status_of_reg reg with
+            | Some st -> Analysis.Coverage.status_name st
+            | None -> "(unmapped)"
+          in
+          let b =
+            Option.value (Hashtbl.find_opt tally name)
+              ~default:
+                { hb_name = name; hb_trials = 0; hb_sdc = 0;
+                  hb_detected = 0; hb_masked = 0 }
+          in
+          let bump c = if c then 1 else 0 in
+          Hashtbl.replace tally name
+            { b with
+              hb_trials = b.hb_trials + 1;
+              hb_sdc = b.hb_sdc + bump (outcome_is_sdc v.v_outcome);
+              hb_detected =
+                b.hb_detected + bump (outcome_is_detected v.v_outcome);
+              hb_masked = b.hb_masked + bump (v.v_outcome = "Masked") })
+        v.v_inj_reg)
+    views;
+  List.filter_map (Hashtbl.find_opt tally) names
+
+(** Join the static classification with a campaign journal: each bucket
+    of {!buckets_by_hit_status} with its measured outcome mix.  The
+    validation the analyzer exists for: unprotected slots must show a
+    higher measured SDC rate than checked ones. *)
+let coverage_vs_journal_rows buckets =
+  List.map
+    (fun b ->
+      let pct k =
+        Report.pct (100.0 *. float_of_int k /. float_of_int b.hb_trials)
       in
-      let sdc = count outcome_is_sdc in
-      let detected = count outcome_is_detected in
-      let masked = count (fun o -> o = "Masked") in
-      Some
-        [ name; string_of_int n;
-          string_of_int sdc;
-          Report.pct (100.0 *. float_of_int sdc /. float_of_int n);
-          Report.pct (100.0 *. float_of_int detected /. float_of_int n);
-          Report.pct (100.0 *. float_of_int masked /. float_of_int n) ]
-  in
-  List.filter_map row_of
-    (List.map Analysis.Coverage.status_name coverage_statuses
-     @ [ "(unmapped)" ])
+      [ b.hb_name; string_of_int b.hb_trials; string_of_int b.hb_sdc;
+        pct b.hb_sdc; pct b.hb_detected; pct b.hb_masked ])
+    buckets
 
 let print_coverage_vs_journal (cov : Analysis.Coverage.t)
     (views : Faults.Journal.view list) =
+  let buckets = buckets_by_hit_status cov views in
   Report.print
     ~title:"Static prediction vs. injected outcomes (by register hit)"
     ~header:
       [ "status of hit reg"; "trials"; "SDC"; "SDC rate"; "detected";
         "masked" ]
-    ~rows:(coverage_vs_journal_rows cov views);
-  let injected =
-    List.filter
-      (fun (v : Faults.Journal.view) -> v.v_inj_reg <> None)
-      views
-  in
-  let n = max 1 (List.length injected) in
-  let sdc =
-    List.length
-      (List.filter
-         (fun (v : Faults.Journal.view) -> outcome_is_sdc v.v_outcome)
-         injected)
-  in
+    ~rows:(coverage_vs_journal_rows buckets);
+  (* Every status has a bucket, so the buckets hold every injected trial. *)
+  let total f = List.fold_left (fun acc b -> acc + f b) 0 buckets in
+  let injected = total (fun b -> b.hb_trials) in
   Printf.printf
     "\nstatic SDC-prone fraction %s vs. measured SDC rate %s over %d \
      injected trials\n"
     (Report.frac_pct cov.sdc_prone_fraction)
-    (Report.pct (100.0 *. float_of_int sdc /. float_of_int n))
-    (List.length injected)
+    (Report.pct
+       (100.0 *. float_of_int (total (fun b -> b.hb_sdc))
+        /. float_of_int (max 1 injected)))
+    injected
 
 (* ----- Per-register strata (report --strata): the coverage-map join of
    print_coverage_vs_journal, but with Wilson 95% intervals on every
@@ -1480,44 +1492,19 @@ let print_coverage_vs_journal (cov : Analysis.Coverage.t)
    intervals instead of falsely precise point estimates, which is what an
    adaptive sampler would allocate further trials by ----- *)
 
-let journal_strata_rows (cov : Analysis.Coverage.t)
-    (views : Faults.Journal.view list) =
-  let status_of_reg = Analysis.Coverage.reg_status cov in
-  let bucket_of (v : Faults.Journal.view) =
-    Option.map
-      (fun reg ->
-        match status_of_reg reg with
-        | Some st -> Analysis.Coverage.status_name st
-        | None -> "(unmapped)")
-      v.v_inj_reg
-  in
-  let ci_cell ~k ~n =
-    let iv = Obs.Stats.wilson ~k ~n () in
-    Printf.sprintf "%s [%.1f, %.1f]"
-      (Report.pct (100.0 *. iv.Obs.Stats.ci_estimate))
-      (100.0 *. iv.Obs.Stats.ci_low)
-      (100.0 *. iv.Obs.Stats.ci_high)
-  in
-  List.filter_map
-    (fun name ->
-      let hits = List.filter (fun v -> bucket_of v = Some name) views in
-      match hits with
-      | [] -> None
-      | _ :: _ ->
-        let n = List.length hits in
-        let count pred =
-          List.length
-            (List.filter
-               (fun (v : Faults.Journal.view) -> pred v.v_outcome)
-               hits)
-        in
-        Some
-          [ name; string_of_int n;
-            ci_cell ~k:(count outcome_is_sdc) ~n;
-            ci_cell ~k:(count outcome_is_detected) ~n;
-            ci_cell ~k:(count (fun o -> o = "Masked")) ~n ])
-    (List.map Analysis.Coverage.status_name coverage_statuses
-     @ [ "(unmapped)" ])
+let journal_strata_rows buckets =
+  List.map
+    (fun b ->
+      let ci_cell k =
+        let iv = Obs.Stats.wilson ~k ~n:b.hb_trials () in
+        Printf.sprintf "%s [%.1f, %.1f]"
+          (Report.pct (100.0 *. iv.Obs.Stats.ci_estimate))
+          (100.0 *. iv.Obs.Stats.ci_low)
+          (100.0 *. iv.Obs.Stats.ci_high)
+      in
+      [ b.hb_name; string_of_int b.hb_trials; ci_cell b.hb_sdc;
+        ci_cell b.hb_detected; ci_cell b.hb_masked ])
+    buckets
 
 let print_journal_strata (cov : Analysis.Coverage.t)
     (views : Faults.Journal.view list) =
@@ -1526,124 +1513,4 @@ let print_journal_strata (cov : Analysis.Coverage.t)
       "Per-register strata (by status of hit register, Wilson 95% \
        intervals)"
     ~header:[ "stratum"; "trials"; "SDC"; "detected"; "masked" ]
-    ~rows:(journal_strata_rows cov views)
-
-(* ----- Bench history (bench-diff): compare two BENCH_campaign.json runs
-   per workload and flag throughput regressions beyond a tolerance.  The
-   gate only fires when both files report the same host_cores — numbers
-   from different machines diff informationally but never fail CI ----- *)
-
-type bench_diff_row = {
-  bd_workload : string;
-  bd_metric : string;         (** row label, e.g. ["serial trials/s"] *)
-  bd_old : float;
-  bd_new : float;
-  bd_delta_pct : float;       (** (new - old) / old, percent *)
-  bd_regression : bool;       (** gated metric dropped beyond tolerance *)
-}
-
-type bench_diff = {
-  bd_old_cores : int;         (** -1 when the file carries no host_cores *)
-  bd_new_cores : int;
-  bd_comparable : bool;       (** host_cores present and equal *)
-  bd_tolerance_pct : float;
-  bd_rows : bench_diff_row list;
-}
-
-let bench_workload_map j =
-  match Obs.Json.member "workloads" j with
-  | Some (Obs.Json.List ws) ->
-    List.filter_map
-      (fun w ->
-        Option.map
-          (fun n -> (n, w))
-          (Option.bind (Obs.Json.member "name" w) Obs.Json.to_str))
-      ws
-  | Some _ | None -> []
-
-let bench_diff ?(tolerance_pct = 15.0) old_j new_j =
-  let cores j =
-    Option.value ~default:(-1)
-      (Option.bind (Obs.Json.member "host_cores" j) Obs.Json.to_int)
-  in
-  let old_cores = cores old_j in
-  let new_cores = cores new_j in
-  (* Only throughputs gate (third component); the speedup row is a ratio
-     of the other two and would double-report the same regression. *)
-  let metrics =
-    [ ("serial trials/s", "serial_trials_per_sec", true);
-      ("parallel trials/s", "parallel_trials_per_sec", true);
-      ("parallel speedup", "parallel_speedup", false) ]
-  in
-  let news = bench_workload_map new_j in
-  let rows =
-    List.concat_map
-      (fun (name, oldw) ->
-        match List.assoc_opt name news with
-        | None -> []   (* workload dropped from the suite: nothing to gate *)
-        | Some neww ->
-          List.filter_map
-            (fun (label, field, gated) ->
-              match
-                ( Option.bind (Obs.Json.member field oldw) Obs.Json.to_float,
-                  Option.bind (Obs.Json.member field neww) Obs.Json.to_float )
-              with
-              | Some o, Some n when o > 0.0 ->
-                let delta = 100.0 *. (n -. o) /. o in
-                Some
-                  { bd_workload = name; bd_metric = label; bd_old = o;
-                    bd_new = n; bd_delta_pct = delta;
-                    bd_regression = gated && delta < -.tolerance_pct }
-              | _, _ -> None)
-            metrics)
-      (bench_workload_map old_j)
-  in
-  { bd_old_cores = old_cores; bd_new_cores = new_cores;
-    bd_comparable = old_cores >= 0 && old_cores = new_cores;
-    bd_tolerance_pct = tolerance_pct; bd_rows = rows }
-
-(** Rows that should fail a perf gate: gated metrics that regressed, and
-    only when the two runs came from comparable hosts. *)
-let bench_diff_regressions d =
-  if not d.bd_comparable then []
-  else List.filter (fun r -> r.bd_regression) d.bd_rows
-
-(* The one-line stand-down warning a driver must surface on stderr when
-   the hosts are incomparable — the gate silently passing used to be
-   indistinguishable from the gate passing. [None] when comparable. *)
-let bench_diff_host_warning d =
-  if d.bd_comparable then None
-  else
-    let cores c = if c < 0 then "unknown" else string_of_int c in
-    Some
-      (Printf.sprintf
-         "WARNING: bench-diff regression gate SKIPPED — host_cores differ \
-          (old %s, new %s); deltas are informational only (use \
-          --require-same-host to fail instead)"
-         (cores d.bd_old_cores) (cores d.bd_new_cores))
-
-let print_bench_diff d =
-  Report.print ~title:"Bench history (new vs. old)"
-    ~header:[ "workload"; "metric"; "old"; "new"; "delta" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [ r.bd_workload; r.bd_metric;
-             Printf.sprintf "%.2f" r.bd_old;
-             Printf.sprintf "%.2f" r.bd_new;
-             Printf.sprintf "%+.1f%%%s" r.bd_delta_pct
-               (if r.bd_regression then "  REGRESSION" else "") ])
-         d.bd_rows);
-  if not d.bd_comparable then
-    Printf.printf
-      "\nhost_cores differ (old %d, new %d): deltas are informational \
-       only, regression gate skipped\n"
-      d.bd_old_cores d.bd_new_cores
-  else
-    match bench_diff_regressions d with
-    | [] ->
-      Printf.printf "\nno regressions beyond %.0f%% tolerance\n"
-        d.bd_tolerance_pct
-    | regs ->
-      Printf.printf "\n%d regression(s) beyond %.0f%% tolerance\n"
-        (List.length regs) d.bd_tolerance_pct
+    ~rows:(journal_strata_rows (buckets_by_hit_status cov views))

@@ -2,21 +2,16 @@
 
 open Obs
 
-(* v2 adds the recovery configuration to the manifest
-   ([checkpoint_interval]) and per-trial recovery events; v3 adds the
-   fault-propagation summary ([taint]) per trial; v4 adds the final
-   outcome statistics (counts + Wilson 95% intervals) to the manifest;
-   v5 adds the adaptive-stratification section (strata, reweighted
-   intervals, equivalent-uniform trials) and a per-trial stratum id.
-   Every addition is an optional field, so v1–v4 journals are still
-   loadable — and each version is stamped only when its feature was
-   actually used, keeping feature-free journals byte-identical to their
-   older forms. *)
-let schema = "softft.journal.v2"
+(* v2 added the recovery configuration to the manifest
+   ([checkpoint_interval]) and per-trial recovery events; v3 the
+   fault-propagation summary ([taint]) per trial; v4 the final outcome
+   statistics (counts + Wilson 95% intervals) in the manifest; v5 the
+   adaptive-stratification section and a per-trial stratum id.  Every
+   addition is an optional section, so the writer stamps the current
+   version whatever sections a campaign used, and the reader loads v1–v5
+   alike without looking at the stamp. *)
+let schema = "softft.journal.v5"
 let schema_v1 = "softft.journal.v1"
-let schema_v3 = "softft.journal.v3"
-let schema_v4 = "softft.journal.v4"
-let schema_v5 = "softft.journal.v5"
 
 let git_describe () =
   try
@@ -211,16 +206,7 @@ let manifest_record ?git ?technique ?plan ?stats ?counts ?adaptive
   let git = match git with Some g -> g | None -> git_describe () in
   Json.Obj
     ([ ("type", Json.Str "manifest");
-       (* The schema only advances when the feature is actually present:
-          v5 needs the adaptive section, v4 final stats, v3 tracing; a
-          stats-free untraced manifest stays byte-identical to its v2
-          form. *)
-       ("schema",
-        Json.Str
-          (if adaptive <> None then schema_v5
-           else if counts <> None then schema_v4
-           else if taint_trace then schema_v3
-           else schema));
+       ("schema", Json.Str schema);
        ("git", Json.Str git);
        ("label", Json.Str label);
        ("trials", Json.Int trials);

@@ -11,33 +11,17 @@
     per trial, in deterministic seed order.  Journals are produced by
     {!write} from a completed campaign's summary and trial list. *)
 
-(** Journal schema identifier, bumped on layout changes.  v2 added the
-    recovery configuration to the manifest ([checkpoint_interval]) and
-    optional per-trial recovery telemetry; v1 journals remain loadable.
-    This is the identifier of an *untraced* journal — campaigns run with
-    [taint_trace] stamp {!schema_v3} instead. *)
+(** The journal schema identifier every manifest is stamped with:
+    ["softft.journal.v5"].  Each version added an optional section — v2
+    the recovery configuration and per-trial recovery telemetry, v3
+    per-trial propagation summaries, v4 final outcome statistics, v5 the
+    adaptive-stratification section and per-trial stratum ids — so a
+    journal that used none of them still carries the current stamp, and
+    {!load} reads v1–v5 alike without branching on it. *)
 val schema : string
 
-(** The previous schema identifier, still accepted by {!load}. *)
+(** The oldest schema identifier, still accepted by {!load}. *)
 val schema_v1 : string
-
-(** Schema identifier of a propagation-traced journal (per-trial [taint]
-    summaries with {!Obs.Trace} spans); stamped only when the campaign
-    actually traced, so untraced journals stay byte-identical to v2. *)
-val schema_v3 : string
-
-(** Schema identifier of a journal whose manifest carries final outcome
-    statistics (per-outcome counts with Wilson 95% intervals under
-    ["stats"]); stamped only when {!manifest_record} was given [counts],
-    so stats-free journals keep their older identifiers. *)
-val schema_v4 : string
-
-(** Schema identifier of an adaptive stratified journal: the manifest
-    carries the ["adaptive"] section (stratum definitions and tallies,
-    mass-reweighted intervals, equivalent-uniform trials) and each trial
-    a ["stratum"] id; stamped only when {!manifest_record} was given
-    [adaptive], so uniform journals keep their older identifiers. *)
-val schema_v5 : string
 
 (** [git describe --always --dirty] of the working tree, or ["unknown"]
     outside a git checkout — pins a journal to the code that wrote it. *)
@@ -61,15 +45,13 @@ val stats_json : Campaign.run_stats -> Obs.Json.t
     labels; [stats] adds wall/per-domain timings when available;
     [counts] (the campaign summary's final outcome counts) adds the
     per-outcome ["stats"] object — count plus Wilson 95% interval per
-    observed outcome — and stamps the manifest {!schema_v4};
-    [checkpoint_interval] (default 0: recovery off) records the campaign's
-    recovery configuration; [taint_trace] (default false) stamps the
-    manifest {!schema_v3} and records that trials carry propagation
-    summaries; [adaptive] (a {!Campaign.adaptive} result) adds the
-    ["adaptive"] section and stamps {!schema_v5}; [plan] (an
+    observed outcome; [checkpoint_interval] (default 0: recovery off)
+    records the campaign's recovery configuration; [taint_trace] (default
+    false) records that trials carry propagation summaries; [adaptive] (a
+    {!Campaign.adaptive} result) adds the ["adaptive"] section; [plan] (an
     [Analysis.Plan.to_json] document) records the protection plan a
     plan-driven campaign executed, so warehouse run keys distinguish
-    distinct plans. *)
+    distinct plans.  The manifest is always stamped {!schema}. *)
 val manifest_record :
   ?git:string ->
   ?technique:string ->

@@ -205,14 +205,11 @@ let index_lines_of_file path =
 
 let index_lines dir = index_lines_of_file (index_path dir)
 
-let records_of_type ty dir =
-  List.filter (fun j -> mstr "type" j = ty) (index_lines dir)
-
-let entries ~dir = List.map entry_of_json (records_of_type "run" dir)
-
 let entries_of_file path =
   List.map entry_of_json
     (List.filter (fun j -> mstr "type" j = "run") (index_lines_of_file path))
+
+let entries ~dir = entries_of_file (index_path dir)
 
 let next_seq lines =
   1 + List.fold_left (fun m j -> max m (mint "seq" j)) 0 lines
@@ -390,54 +387,6 @@ let file_run ?prog_digest ~dir ~manifest ~trials () =
   file_indexed ?prog_digest ~dir ~manifest ~n:(List.length trials) ~counts
     (fun dst -> Faults.Journal.write ~path:dst ~manifest ~trials ())
 
-let ingest_bench ~dir path =
-  let ic = open_in_bin path in
-  let bytes =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let key = Digest.to_hex (Digest.string bytes) in
-  let rel = Filename.concat "bench" (key ^ ".json") in
-  let already =
-    List.exists
-      (fun j -> mstr "key" j = key)
-      (records_of_type "bench" dir)
-  in
-  if already then `Duplicate rel
-  else begin
-    mkdir_p (Filename.concat dir "bench");
-    let oc = open_out_bin (Filename.concat dir rel) in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc bytes);
-    let seq = next_seq (index_lines dir) in
-    append_index dir
-      (Obs.Json.Obj
-         [ ("type", Obs.Json.Str "bench");
-           ("schema", Obs.Json.Str schema);
-           ("seq", Obs.Json.Int seq);
-           ("key", Obs.Json.Str key);
-           ("path", Obs.Json.Str rel);
-           ("host", Obs.Json.Str (Unix.gethostname ()));
-           ("host_cores",
-            Obs.Json.Int (Domain.recommended_domain_count ()));
-           ("ingested_at", Obs.Json.Float (Unix.gettimeofday ())) ]);
-    `Ingested rel
-  end
-
-let latest_bench ~dir =
-  let latest =
-    List.fold_left
-      (fun best j ->
-        match best with
-        | Some b when mint "seq" b >= mint "seq" j -> best
-        | _ -> Some j)
-      None
-      (records_of_type "bench" dir)
-  in
-  Option.map (fun j -> Filename.concat dir (mstr "path" j)) latest
-
 let resolve ?dir arg =
   if Sys.file_exists arg then arg
   else
@@ -588,12 +537,52 @@ type regress_row = {
   rg_throughput_ratio : float option;
 }
 
+type bench_row = {
+  bw_workload : string;
+  bw_metric : string;
+  bw_old : float;
+  bw_new : float;
+  bw_delta_pct : float;
+  bw_regressed : bool;
+}
+
 type regress = {
   rx_rows : regress_row list;
+  rx_bench : bench_row list;
   rx_only_old : entry list;
   rx_only_new : entry list;
+  rx_stood_down : string list;
   rx_failures : string list;
 }
+
+(* The one throughput rule, for warehouse run pairs and bench metrics
+   alike.  Rates measured on different (or unknown) core counts carry no
+   pass/fail information, so the gate stands down instead of judging
+   them — and says so. *)
+type verdict = Pass | Fail of string | Stood_down of string
+
+let judge_throughput ~tolerance_pct ~old_cores ~new_cores ~old_rate
+    ~new_rate what =
+  let cores c = if c <= 0 then "unknown" else string_of_int c in
+  if old_cores <= 0 || new_cores <= 0 || old_cores <> new_cores then
+    Stood_down
+      (Printf.sprintf
+         "WARNING: throughput gate SKIPPED for %s — host_cores not \
+          comparable (old %s, new %s); deltas are informational only (use \
+          --require-same-host to fail instead)"
+         what (cores old_cores) (cores new_cores))
+  else if 100.0 *. (new_rate -. old_rate) /. old_rate < -.tolerance_pct then
+    Fail
+      (Printf.sprintf "%s: throughput dropped %.1f%% (beyond %.1f%% tolerance)"
+         what
+         (100.0 *. (1.0 -. (new_rate /. old_rate)))
+         tolerance_pct)
+  else Pass
+
+let note_verdict ~failures ~stood = function
+  | Pass -> ()
+  | Fail msg -> failures := msg :: !failures
+  | Stood_down msg -> stood := msg :: !stood
 
 (* The configuration identity deliberately excludes seed, trials and the
    program digest: a new baseline run with more trials, or a code change
@@ -627,7 +616,7 @@ let sdc_count e =
 let regress ?tolerance_pct ~baseline ~current () =
   let old_tbl = latest_per_identity baseline in
   let new_tbl = latest_per_identity current in
-  let rows = ref [] and failures = ref [] in
+  let rows = ref [] and failures = ref [] and stood = ref [] in
   let only_old = ref [] and only_new = ref [] in
   Hashtbl.iter
     (fun id old_e ->
@@ -659,9 +648,9 @@ let regress ?tolerance_pct ~baseline ~current () =
           sdc.dr_significant
           && sdc.dr_new.ci_estimate < sdc.dr_old.ci_estimate
         in
-        let throughput_ratio =
+        let rates =
           match (old_e.e_trials_per_sec, new_e.e_trials_per_sec) with
-          | Some o, Some n when o > 0.0 -> Some (n /. o)
+          | Some o, Some n when o > 0.0 -> Some (o, n)
           | _ -> None
         in
         if regressed then
@@ -676,16 +665,11 @@ let regress ?tolerance_pct ~baseline ~current () =
               (100.0 *. sdc.dr_new.ci_low)
               (100.0 *. sdc.dr_new.ci_high)
             :: !failures;
-        (match (tolerance_pct, throughput_ratio) with
-         | Some tol, Some ratio
-           when old_e.e_host_cores = new_e.e_host_cores
-                && ratio < 1.0 -. (tol /. 100.0) ->
-           failures :=
-             Printf.sprintf
-               "%s: throughput dropped %.1f%% (beyond %.1f%% tolerance)" id
-               (100.0 *. (1.0 -. ratio))
-               tol
-             :: !failures
+        (match (tolerance_pct, rates) with
+         | Some tolerance_pct, Some (old_rate, new_rate) ->
+           note_verdict ~failures ~stood
+             (judge_throughput ~tolerance_pct ~old_cores:old_e.e_host_cores
+                ~new_cores:new_e.e_host_cores ~old_rate ~new_rate id)
          | _ -> ());
         rows :=
           { rg_identity = id;
@@ -694,7 +678,7 @@ let regress ?tolerance_pct ~baseline ~current () =
             rg_sdc = sdc;
             rg_regressed = regressed;
             rg_improved = improved;
-            rg_throughput_ratio = throughput_ratio }
+            rg_throughput_ratio = Option.map (fun (o, n) -> n /. o) rates }
           :: !rows)
     old_tbl;
   Hashtbl.iter
@@ -703,8 +687,106 @@ let regress ?tolerance_pct ~baseline ~current () =
     new_tbl;
   { rx_rows =
       List.sort (fun a b -> compare a.rg_identity b.rg_identity) !rows;
+    rx_bench = [];
     rx_only_old =
       List.sort (fun a b -> compare a.e_seq b.e_seq) !only_old;
     rx_only_new =
       List.sort (fun a b -> compare a.e_seq b.e_seq) !only_new;
+    rx_stood_down = List.sort compare !stood;
     rx_failures = List.rev !failures }
+
+(* ------------------------------------------------------------------ *)
+(* Bench snapshots (BENCH_campaign.json)                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Only the throughputs gate; the speedup row is their ratio and would
+   double-report the same regression. *)
+let bench_metrics =
+  [ ("serial trials/s", "serial_trials_per_sec", true);
+    ("parallel trials/s", "parallel_trials_per_sec", true);
+    ("parallel speedup", "parallel_speedup", false) ]
+
+let bench_workloads j =
+  List.filter_map
+    (fun w ->
+      Option.map
+        (fun n -> (n, w))
+        (Option.bind (Obs.Json.member "name" w) Obs.Json.to_str))
+    (Option.value ~default:[]
+       (Option.bind (Obs.Json.member "workloads" j) Obs.Json.to_list))
+
+let regress_bench ?tolerance_pct old_j new_j =
+  let old_cores = mint ~default:(-1) "host_cores" old_j
+  and new_cores = mint ~default:(-1) "host_cores" new_j in
+  let news = bench_workloads new_j in
+  let failures = ref [] and stood = ref [] in
+  let rows =
+    List.concat_map
+      (fun (name, oldw) ->
+        match List.assoc_opt name news with
+        | None -> []
+        | Some neww ->
+          List.filter_map
+            (fun (label, field, gated) ->
+              let rate w =
+                Option.bind (Obs.Json.member field w) Obs.Json.to_float
+              in
+              match (rate oldw, rate neww) with
+              | Some old_rate, Some new_rate when old_rate > 0.0 ->
+                let verdict =
+                  match tolerance_pct with
+                  | Some tolerance_pct when gated ->
+                    judge_throughput ~tolerance_pct ~old_cores ~new_cores
+                      ~old_rate ~new_rate (name ^ " " ^ label)
+                  | _ -> Pass
+                in
+                note_verdict ~failures ~stood verdict;
+                Some
+                  { bw_workload = name;
+                    bw_metric = label;
+                    bw_old = old_rate;
+                    bw_new = new_rate;
+                    bw_delta_pct = 100.0 *. (new_rate -. old_rate) /. old_rate;
+                    bw_regressed =
+                      (match verdict with Fail _ -> true | _ -> false) }
+              | _ -> None)
+            bench_metrics)
+      (bench_workloads old_j)
+  in
+  { rx_rows = [];
+    rx_bench = rows;
+    rx_only_old = [];
+    rx_only_new = [];
+    rx_stood_down = List.rev !stood;
+    rx_failures = List.rev !failures }
+
+(* A bench snapshot is recognised by content — one JSON object with a
+   workloads list — so it can never be read as an index with no runs. *)
+let bench_snapshot path =
+  match Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Obs.Json.Obj _ as j
+    when Option.bind (Obs.Json.member "workloads" j) Obs.Json.to_list <> None
+    ->
+    Some j
+  | _ | (exception (Obs.Json.Parse_error _ | Sys_error _)) -> None
+
+let regress_paths ?tolerance_pct ~baseline ~current () =
+  let index path =
+    if Sys.file_exists path && Sys.is_directory path then entries ~dir:path
+    else entries_of_file path
+  in
+  let old_j = bench_snapshot baseline and new_j = bench_snapshot current in
+  match (old_j, new_j) with
+  | Some old_j, Some new_j -> regress_bench ?tolerance_pct old_j new_j
+  | None, None ->
+    regress ?tolerance_pct ~baseline:(index baseline)
+      ~current:(index current) ()
+  | Some _, None | None, Some _ ->
+    let kind j =
+      if Option.is_none j then "a warehouse index" else "a bench snapshot"
+    in
+    failwith
+      (Printf.sprintf
+         "cannot compare %s (%s) with %s (%s): both sides must be bench \
+          snapshots or both warehouse indexes"
+         baseline (kind old_j) current (kind new_j))

@@ -12,10 +12,8 @@
     Layout under the warehouse directory:
     - [index.jsonl] — append-only index, one {!schema} record per
       ingested run (outcome counts, Wilson intervals, throughput, host,
-      journal schema) or bench snapshot;
-    - [runs/<key>.jsonl] — the journal, byte-for-byte;
-    - [bench/<key>.json] — ingested BENCH_campaign.json snapshots, for
-      [bench-diff --baseline latest:<dir>].
+      journal schema);
+    - [runs/<key>.jsonl] — the journal, byte-for-byte.
 
     This is the seed of the campaign-server result cache (ROADMAP item
     2): a request whose key is already filed costs one index lookup. *)
@@ -96,16 +94,6 @@ val file_run :
   unit ->
   [ `Ingested of entry | `Duplicate of entry ]
 
-(** File a BENCH_campaign.json snapshot under the digest of its bytes;
-    duplicate content is a no-op.  Returns the filed path (relative to
-    [dir]). *)
-val ingest_bench :
-  dir:string -> string -> [ `Ingested of string | `Duplicate of string ]
-
-(** Absolute path of the most recently ingested bench snapshot, if any —
-    what [bench-diff --baseline latest:<dir>] resolves to. *)
-val latest_bench : dir:string -> string option
-
 (** [resolve ?dir key_or_path] turns a CLI argument into a journal path:
     an existing file is itself; otherwise it must be a run key (or
     unique key prefix) in the warehouse at [dir].  Raises [Failure] with
@@ -157,22 +145,56 @@ type regress_row = {
       (** new/old trials-per-sec, only when both sides report it *)
 }
 
+(** One compared metric of a workload both bench snapshots measured. *)
+type bench_row = {
+  bw_workload : string;
+  bw_metric : string;            (** ["serial trials/s"],
+                                     ["parallel trials/s"] or
+                                     ["parallel speedup"] *)
+  bw_old : float;
+  bw_new : float;
+  bw_delta_pct : float;          (** (new - old) / old, percent *)
+  bw_regressed : bool;           (** a gated throughput that dropped beyond
+                                     the tolerance on a comparable host *)
+}
+
 type regress = {
   rx_rows : regress_row list;
+  rx_bench : bench_row list;     (** bench snapshot inputs only *)
   rx_only_old : entry list;      (** identities without a current run *)
   rx_only_new : entry list;
+  rx_stood_down : string list;   (** one warning per throughput comparison
+                                     the host rule stood down *)
   rx_failures : string list;     (** human messages; nonempty fails the
                                      gate *)
 }
 
 (** Compare two index snapshots.  Coverage gate: any matched pair whose
     SDC rate rose with disjoint intervals is a failure.  Throughput gate
-    (opt-in): with [tolerance_pct], a matched pair whose throughput
-    dropped more than that — on the same [host_cores] only, mirroring
-    [bench-diff]'s host stand-down — is also a failure. *)
+    (opt-in): with [tolerance_pct], a matched pair whose trials/s dropped
+    more than that is also a failure — but only when both runs report the
+    same positive [host_cores].  Otherwise the pair stands down and
+    [rx_stood_down] says so, naming [--require-same-host]. *)
 val regress :
   ?tolerance_pct:float ->
   baseline:entry list ->
   current:entry list ->
+  unit ->
+  regress
+
+(** [regress_paths ?tolerance_pct ~baseline ~current ()] is the
+    [experiments regress] gate over files.  Each path is a warehouse
+    directory, an [index.jsonl], or a [BENCH_campaign.json] snapshot,
+    recognised by content (one JSON object with a [workloads] list).
+    Two indexes go through {!regress}.  Two snapshots are compared per
+    shared workload: serial and parallel trials/s gate under the same
+    host rule (a snapshot without [host_cores] never compares), parallel
+    speedup is shown but never gates, and a workload on one side only
+    produces no row.  Raises [Failure] naming both paths when a snapshot
+    meets an index, and on a malformed index. *)
+val regress_paths :
+  ?tolerance_pct:float ->
+  baseline:string ->
+  current:string ->
   unit ->
   regress

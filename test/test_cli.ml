@@ -40,11 +40,11 @@ let surface =
        "--max-trials"; "--warehouse"; "--csv"; "--plan-out" ]);
     ("lint", [ "--benchmarks" ]);
     ("report", [ "--strata"; "--csv" ]);
-    ("bench-diff", [ "--tolerance"; "--require-same-host" ]);
     ("ingest", [ "--warehouse" ]);
     ("history", [ "--warehouse" ]);
     ("diff-runs", [ "--warehouse" ]);
-    ("regress", [ "--baseline"; "--current"; "--tolerance" ]);
+    ("regress",
+     [ "--baseline"; "--current"; "--tolerance"; "--require-same-host" ]);
     ("heatmap", [ "--warehouse"; "--journal"; "--csv"; "--html" ]);
     ("table1", []);
     ("dump", []);
@@ -83,7 +83,8 @@ let test_unknown_subcommand_fails () =
     (exit_code "no-such-subcommand" <> 0)
 
 let test_retired_subcommands_gone () =
-  (* `one' folded into `campaign', `crossval' into `study crossval'.  The
+  (* `one' folded into `campaign', `crossval' into `study crossval',
+     `bench-diff' into `regress'.  The
      COMMANDS section lists one subcommand per indented line; the
      campaign line proves the pattern matches a listed command. *)
   let _, text = help_of "" in
@@ -95,7 +96,7 @@ let test_retired_subcommands_gone () =
       Alcotest.(check bool)
         (Printf.sprintf "top-level help no longer lists %s" sub)
         false (listed sub))
-    [ "one"; "crossval" ]
+    [ "one"; "crossval"; "bench-diff" ]
 
 let test_profile_needs_uniform () =
   (* The adaptive scheduler takes no execution profile: the combination is
@@ -105,6 +106,58 @@ let test_profile_needs_uniform () =
   Alcotest.(check int) "uniform campaign --profile runs" 0 (exit_code base);
   Alcotest.(check int) "campaign --adaptive --profile is a usage error" 124
     (exit_code (base ^ " --adaptive"))
+
+let write_file contents =
+  let path = Filename.temp_file "softft_cli" ".json" in
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  path
+
+let bench_snapshot cores =
+  write_file
+    (Printf.sprintf
+       "{\"host_cores\":%d,\"workloads\":[{\"name\":\"kmeans\",\
+        \"serial_trials_per_sec\":100,\"parallel_trials_per_sec\":300,\
+        \"parallel_speedup\":3}]}\n"
+       cores)
+
+let test_regress_bench_stand_down () =
+  (* The host-mismatch contract of the bench gate: a warned stand-down
+     (stderr names SKIPPED and --require-same-host) that exits 0, and
+     exit 1 once --require-same-host is given. *)
+  let four = bench_snapshot 4 and eight = bench_snapshot 8 in
+  let err = Filename.temp_file "softft_cli" ".err" in
+  let args =
+    Printf.sprintf "regress --baseline %s --current %s --tolerance 15"
+      (Filename.quote four) (Filename.quote eight)
+  in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s > /dev/null 2> %s" exe args (Filename.quote err))
+  in
+  let stderr_text = In_channel.with_open_text err In_channel.input_all in
+  Alcotest.(check int) "stand-down exits 0" 0 rc;
+  Alcotest.(check bool) "stderr says SKIPPED" true
+    (contains stderr_text "SKIPPED");
+  Alcotest.(check bool) "stderr points at --require-same-host" true
+    (contains stderr_text "--require-same-host");
+  Alcotest.(check int) "--require-same-host fails the mismatch" 1
+    (exit_code (args ^ " --require-same-host"));
+  Alcotest.(check int) "same host passes" 0
+    (exit_code
+       (Printf.sprintf "regress --baseline %s --current %s --tolerance 15 \
+                        --require-same-host"
+          (Filename.quote four) (Filename.quote four)));
+  List.iter Sys.remove [ four; eight; err ]
+
+let test_regress_mixed_inputs_fail () =
+  (* A bench snapshot against a warehouse index is an error, not an
+     empty comparison. *)
+  let bench = bench_snapshot 2 and index = write_file "" in
+  Alcotest.(check int) "bench vs index exits 1" 1
+    (exit_code
+       (Printf.sprintf "regress --baseline %s --current %s"
+          (Filename.quote bench) (Filename.quote index)));
+  List.iter Sys.remove [ bench; index ]
 
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
@@ -116,4 +169,8 @@ let tests =
     Alcotest.test_case "retired subcommands" `Quick
       test_retired_subcommands_gone;
     Alcotest.test_case "--profile rejects --adaptive" `Quick
-      test_profile_needs_uniform ]
+      test_profile_needs_uniform;
+    Alcotest.test_case "regress: bench host stand-down" `Quick
+      test_regress_bench_stand_down;
+    Alcotest.test_case "regress: bench vs index fails" `Quick
+      test_regress_mixed_inputs_fail ]

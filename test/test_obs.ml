@@ -363,12 +363,12 @@ let test_journal_v2_recovery_roundtrip () =
       Alcotest.(check bool) "campaign exercised recovery" true !saw_recovery)
 
 let test_journal_v3_taint_roundtrip () =
-  (* A traced campaign journals its propagation summaries, stamped v3, and
+  (* A traced campaign journals its propagation summaries, and
      they read back field-for-field — including the events as spans. *)
   with_journal_lines ~taint_trace:true (fun path _ trials ->
       let m, views = Faults.Journal.load path in
-      Alcotest.(check (option string)) "schema is v3"
-        (Some Faults.Journal.schema_v3)
+      Alcotest.(check (option string)) "schema is current"
+        (Some Faults.Journal.schema)
         (Option.bind (Json.member "schema" m) Json.to_str);
       Alcotest.(check (option bool)) "manifest flags tracing" (Some true)
         (Option.bind (Json.member "taint_trace" m) Json.to_bool);
@@ -411,13 +411,13 @@ let test_journal_v3_taint_roundtrip () =
         views)
 
 let test_journal_untraced_stays_v2 () =
-  (* The byte-identity contract: with tracing off, a v3-era journal is
-     exactly a v2 journal — same schema string, and no taint field (not
-     even an empty one) anywhere in the file. *)
+  (* The byte-identity contract v2 introduced: with tracing off, a journal
+     carries no taint field (not even an empty one) anywhere in the file,
+     and its manifest stamps the one current schema. *)
   with_journal_lines ~taint_trace:false (fun _ lines _ ->
       (match lines with
        | manifest :: _ ->
-         Alcotest.(check (option string)) "schema stays v2"
+         Alcotest.(check (option string)) "schema is current"
            (Some Faults.Journal.schema)
            (Option.bind
               (Json.member "schema" (Json.parse manifest))
@@ -434,6 +434,58 @@ let test_journal_untraced_stays_v2 () =
       in
       Alcotest.(check bool) "no taint bytes anywhere" false
         (List.exists contains_taint lines))
+
+let test_journal_one_schema () =
+  (* Every section is optional, so the writer stamps the one current
+     schema whatever combination of sections a campaign used. *)
+  let subject = Test_faults.protected_array_sum () in
+  let summary, _ = Faults.Campaign.run subject ~trials:20 ~seed:7 in
+  let cov = Analysis.Coverage.analyze subject.Faults.Campaign.prog in
+  let _, _, ad =
+    Faults.Campaign.run_adaptive ~seed:23 ~domains:1
+      ~groups:(Analysis.Strata.reg_groups subject.Faults.Campaign.prog cov)
+      ~group_names:Analysis.Strata.group_names
+      ~priors:(Analysis.Strata.priors cov) ~ci:0.1 subject
+  in
+  Alcotest.(check string) "current schema" "softft.journal.v5"
+    Faults.Journal.schema;
+  let both = [ false; true ] in
+  List.iter
+    (fun taint_trace ->
+      List.iter
+        (fun counts ->
+          List.iter
+            (fun adaptive ->
+              List.iter
+                (fun plan ->
+                  List.iter
+                    (fun checkpoint_interval ->
+                      let m =
+                        Faults.Journal.manifest_record ~git:"test"
+                          ~technique:"dup"
+                          ?counts:
+                            (if counts then Some summary.Faults.Campaign.counts
+                             else None)
+                          ?adaptive:(if adaptive then Some ad else None)
+                          ?plan:(if plan then Some (Json.Obj []) else None)
+                          ~checkpoint_interval ~taint_trace
+                          ~label:"array_sum" ~trials:20 ~seed:7 ~domains:1
+                          ~hw_window:Faults.Classify.default_hw_window
+                          ~fault_kind:"register_bit"
+                          ~golden:summary.Faults.Campaign.golden_info ()
+                      in
+                      Alcotest.(check (option string))
+                        (Printf.sprintf
+                           "taint=%b counts=%b adaptive=%b plan=%b ckpt=%d"
+                           taint_trace counts adaptive plan
+                           checkpoint_interval)
+                        (Some Faults.Journal.schema)
+                        (Option.bind (Json.member "schema" m) Json.to_str))
+                    [ 0; 1000 ])
+                both)
+            both)
+        both)
+    both
 
 let test_journal_fold_streams () =
   (* fold is the primitive and load its wrapper: both agree, and fold
@@ -934,8 +986,8 @@ let test_journal_v4_stats () =
       in
       Faults.Journal.write ~path ~manifest ~trials ();
       let m, views = Faults.Journal.load path in
-      Alcotest.(check (option string)) "stamped v4"
-        (Some Faults.Journal.schema_v4)
+      Alcotest.(check (option string)) "stamped current"
+        (Some Faults.Journal.schema)
         (Option.bind (Json.member "schema" m) Json.to_str);
       Alcotest.(check int) "v4 trials load" 30 (List.length views);
       let stats =
@@ -975,8 +1027,8 @@ let test_journal_v4_stats () =
       Alcotest.(check int) "stats cover every trial" 30 !total)
 
 let test_journal_v4_outranks_v3 () =
-  (* counts + taint tracing: the manifest carries both and stamps the
-     newest schema. *)
+  (* counts + taint tracing: the manifest carries both sections and stamps
+     the newest schema. *)
   let subject = Test_faults.protected_array_sum () in
   let summary, _ =
     Faults.Campaign.run subject ~trials:20 ~seed:7 ~taint_trace:true
@@ -988,13 +1040,27 @@ let test_journal_v4_outranks_v3 () =
       ~hw_window:Faults.Classify.default_hw_window ~fault_kind:"register_bit"
       ~golden:summary.Faults.Campaign.golden_info ()
   in
-  Alcotest.(check (option string)) "v4 outranks v3"
-    (Some Faults.Journal.schema_v4)
+  Alcotest.(check (option string)) "newest schema"
+    (Some Faults.Journal.schema)
     (Option.bind (Json.member "schema" m) Json.to_str);
+  Alcotest.(check bool) "stats kept" true
+    (Option.is_some (Json.member "stats" m));
   Alcotest.(check (option bool)) "taint flag kept" (Some true)
     (Option.bind (Json.member "taint_trace" m) Json.to_bool)
 
-(* ----- Bench history: bench-diff ----- *)
+(* ----- Bench history: the cases of the retired bench-diff command,
+   kept under their names and run through the one regression gate,
+   Store.regress_paths on two BENCH_campaign.json snapshots ----- *)
+
+module Store = Warehouse.Store
+
+let contains haystack needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || scan (i + 1))
+  in
+  scan 0
 
 let bench_file ?cores ~serial ~parallel ~speedup () =
   Json.Obj
@@ -1011,60 +1077,79 @@ let bench_file ?cores ~serial ~parallel ~speedup () =
                   ("parallel_trials_per_sec", Json.Float parallel);
                   ("parallel_speedup", Json.Float speedup) ] ]) ])
 
+(* Throughput gating is opt-in; 15% is the tolerance CI gates bench
+   snapshots with. *)
+let bench_regress ?(tolerance_pct = 15.0) old_j new_j =
+  let write j =
+    let path = Filename.temp_file "softft_bench" ".json" in
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (Json.to_string j));
+    path
+  in
+  let baseline = write old_j and current = write new_j in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove baseline; Sys.remove current)
+    (fun () -> Store.regress_paths ~tolerance_pct ~baseline ~current ())
+
+let regressions g =
+  List.filter (fun r -> r.Store.bw_regressed) g.Store.rx_bench
+
 let test_bench_diff_regression () =
   let old_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
   let new_j = bench_file ~cores:4 ~serial:80.0 ~parallel:310.0 ~speedup:3.9 () in
-  let d = Softft.Experiments.bench_diff old_j new_j in
-  Alcotest.(check bool) "comparable hosts" true d.bd_comparable;
-  Alcotest.(check int) "all three metrics compared" 3 (List.length d.bd_rows);
-  (match Softft.Experiments.bench_diff_regressions d with
+  let g = bench_regress old_j new_j in
+  Alcotest.(check (list string)) "comparable hosts" [] g.Store.rx_stood_down;
+  Alcotest.(check int) "all three metrics compared" 3
+    (List.length g.Store.rx_bench);
+  (match regressions g with
    | [ r ] ->
      Alcotest.(check string) "serial throughput flagged" "serial trials/s"
-       r.Softft.Experiments.bd_metric;
-     Alcotest.(check (float 0.01)) "delta" (-20.0) r.bd_delta_pct
+       r.Store.bw_metric;
+     Alcotest.(check (float 0.01)) "delta" (-20.0) r.bw_delta_pct
    | rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs));
+  Alcotest.(check int) "the gate fails" 1 (List.length g.Store.rx_failures);
   (* The same drop within tolerance is not a regression... *)
   let mild = bench_file ~cores:4 ~serial:90.0 ~parallel:300.0 ~speedup:3.33 () in
   Alcotest.(check int) "10%% drop tolerated" 0
-    (List.length
-       (Softft.Experiments.bench_diff_regressions
-          (Softft.Experiments.bench_diff old_j mild)));
+    (List.length (regressions (bench_regress old_j mild)));
   (* ...until the tolerance tightens. *)
   Alcotest.(check int) "tolerance is a parameter" 1
-    (List.length
-       (Softft.Experiments.bench_diff_regressions
-          (Softft.Experiments.bench_diff ~tolerance_pct:5.0 old_j mild)))
+    (List.length (regressions (bench_regress ~tolerance_pct:5.0 old_j mild)))
 
 let test_bench_diff_speedup_not_gated () =
   (* The speedup row is informational — a ratio of the gated throughputs —
      so even a large drop must not double-report. *)
   let old_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
   let new_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:1.0 () in
-  let d = Softft.Experiments.bench_diff old_j new_j in
+  let g = bench_regress old_j new_j in
   let speedup_row =
     List.find
-      (fun r -> r.Softft.Experiments.bd_metric = "parallel speedup")
-      d.bd_rows
+      (fun r -> r.Store.bw_metric = "parallel speedup")
+      g.Store.rx_bench
   in
   Alcotest.(check (float 0.01)) "drop visible" (-66.67)
-    speedup_row.bd_delta_pct;
-  Alcotest.(check int) "but never gating" 0
-    (List.length (Softft.Experiments.bench_diff_regressions d))
+    speedup_row.bw_delta_pct;
+  Alcotest.(check int) "but never gating" 0 (List.length (regressions g));
+  Alcotest.(check (list string)) "and never failing" [] g.Store.rx_failures
 
 let test_bench_diff_incomparable_hosts () =
   let old_j = bench_file ~cores:4 ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
   let new_j = bench_file ~cores:8 ~serial:50.0 ~parallel:150.0 ~speedup:3.0 () in
-  let d = Softft.Experiments.bench_diff old_j new_j in
-  Alcotest.(check bool) "hosts differ" false d.bd_comparable;
+  let g = bench_regress old_j new_j in
+  Alcotest.(check bool) "hosts differ" true (g.Store.rx_stood_down <> []);
   Alcotest.(check bool) "rows still rendered for the human" true
-    (List.exists (fun r -> r.Softft.Experiments.bd_regression) d.bd_rows);
-  Alcotest.(check int) "gate stands down" 0
-    (List.length (Softft.Experiments.bench_diff_regressions d));
+    (List.exists (fun r -> r.Store.bw_delta_pct < -15.0) g.Store.rx_bench);
+  Alcotest.(check int) "gate stands down" 0 (List.length (regressions g));
+  Alcotest.(check (list string)) "and fails nothing" [] g.Store.rx_failures;
   (* A file with no host_cores at all can never arm the gate either. *)
   let anon = bench_file ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
-  let d2 = Softft.Experiments.bench_diff anon anon in
-  Alcotest.(check int) "missing cores read as -1" (-1) d2.bd_old_cores;
-  Alcotest.(check bool) "and never compare" false d2.bd_comparable
+  let g2 = bench_regress anon anon in
+  Alcotest.(check bool) "missing cores read as unknown" true
+    (List.exists
+       (fun w -> contains w "old unknown, new unknown")
+       g2.Store.rx_stood_down);
+  Alcotest.(check bool) "and never compare" true
+    (g2.Store.rx_stood_down <> [])
 
 let test_bench_diff_workload_churn () =
   (* Dropped or added workloads produce no rows (nothing to compare), and
@@ -1089,47 +1174,39 @@ let test_bench_diff_workload_churn () =
            fields)
     | _ -> assert false
   in
-  let d = Softft.Experiments.bench_diff old_j renamed in
+  let g = bench_regress old_j renamed in
   Alcotest.(check int) "no shared workloads, no rows" 0
-    (List.length d.bd_rows);
+    (List.length g.Store.rx_bench);
   let better = bench_file ~cores:4 ~serial:140.0 ~parallel:420.0 ~speedup:3.0 () in
-  let d2 = Softft.Experiments.bench_diff old_j better in
+  let g2 = bench_regress old_j better in
   Alcotest.(check int) "improvements never gate" 0
-    (List.length (Softft.Experiments.bench_diff_regressions d2));
+    (List.length (regressions g2));
   Alcotest.(check bool) "improvement deltas positive" true
-    (List.for_all
-       (fun r -> r.Softft.Experiments.bd_delta_pct >= 0.0)
-       d2.bd_rows)
+    (List.for_all (fun r -> r.Store.bw_delta_pct >= 0.0) g2.Store.rx_bench)
 
 let test_bench_diff_host_warning () =
   (* The stand-down must be loud: incomparable hosts produce the one-line
      stderr warning (pointing at --require-same-host, the CI escape
      hatch), comparable hosts none at all. *)
   let at cores = bench_file ~cores ~serial:100.0 ~parallel:300.0 ~speedup:3.0 in
-  let warning d = Softft.Experiments.bench_diff_host_warning d in
-  (match warning (Softft.Experiments.bench_diff (at 4 ()) (at 8 ())) with
-   | None -> Alcotest.fail "host mismatch produced no warning"
-   | Some msg ->
-     let contains needle =
-       let n = String.length needle in
-       let rec scan i =
-         i + n <= String.length msg
-         && (String.sub msg i n = needle || scan (i + 1))
-       in
-       scan 0
-     in
-     Alcotest.(check bool) "warning says the gate is skipped" true
-       (contains "SKIPPED");
-     Alcotest.(check bool) "warning names both core counts" true
-       (contains "old 4" && contains "new 8");
-     Alcotest.(check bool) "warning points at --require-same-host" true
-       (contains "--require-same-host"));
+  let warnings old_j new_j = (bench_regress old_j new_j).Store.rx_stood_down in
+  let ws = warnings (at 4 ()) (at 8 ()) in
+  Alcotest.(check int) "one warning per gated metric" 2 (List.length ws);
+  List.iter
+    (fun msg ->
+      Alcotest.(check bool) "warning says the gate is skipped" true
+        (contains msg "SKIPPED");
+      Alcotest.(check bool) "warning names both core counts" true
+        (contains msg "old 4" && contains msg "new 8");
+      Alcotest.(check bool) "warning points at --require-same-host" true
+        (contains msg "--require-same-host"))
+    ws;
   (* A file with no host_cores stands the gate down the same way. *)
   let anon = bench_file ~serial:100.0 ~parallel:300.0 ~speedup:3.0 () in
   Alcotest.(check bool) "missing cores warn too" true
-    (warning (Softft.Experiments.bench_diff (at 4 ()) anon) <> None);
-  Alcotest.(check (option string)) "comparable hosts stay silent" None
-    (warning (Softft.Experiments.bench_diff (at 4 ()) (at 4 ())))
+    (warnings (at 4 ()) anon <> []);
+  Alcotest.(check (list string)) "comparable hosts stay silent" []
+    (warnings (at 4 ()) (at 4 ()))
 
 (* ----- Journal reports: the CI column degrades on pre-v4 journals ----- *)
 
@@ -1312,8 +1389,8 @@ let test_journal_v5_adaptive_roundtrip () =
       ~hw_window:Faults.Classify.default_hw_window ~fault_kind:"register_bit"
       ~golden:summary.Faults.Campaign.golden_info ()
   in
-  Alcotest.(check (option string)) "adaptive outranks v4"
-    (Some Faults.Journal.schema_v5)
+  Alcotest.(check (option string)) "adaptive stamped current"
+    (Some Faults.Journal.schema)
     (Option.bind (Json.member "schema" manifest) Json.to_str);
   let path = Filename.temp_file "softft_journal" ".jsonl" in
   Fun.protect
@@ -1378,6 +1455,8 @@ let tests =
       test_journal_v3_taint_roundtrip;
     Alcotest.test_case "journal: untraced stays v2" `Quick
       test_journal_untraced_stays_v2;
+    Alcotest.test_case "journal: one schema for every section" `Quick
+      test_journal_one_schema;
     Alcotest.test_case "journal: fold streams" `Quick
       test_journal_fold_streams;
     Alcotest.test_case "determinism: hooks inert (serial)" `Quick

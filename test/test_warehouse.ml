@@ -246,22 +246,86 @@ let test_regress_gate () =
   Alcotest.(check (list string)) "self-regress is green" []
     g''.Store.rx_failures
 
+let contains haystack needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || scan (i + 1))
+  in
+  scan 0
+
 let test_regress_throughput_gate () =
   let base = [ entry ~seq:1 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
   let slow = [ entry ~seq:2 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:50.0 ~cores:8 ] in
   let g = Store.regress ~tolerance_pct:15.0 ~baseline:base ~current:slow () in
   Alcotest.(check bool) "same-host slowdown beyond tolerance fails" true
     (g.Store.rx_failures <> []);
-  (* Without opting in, throughput never gates. *)
+  Alcotest.(check (list string)) "a judged pair stays silent" []
+    g.Store.rx_stood_down;
+  (* Without opting in, throughput never gates, so nothing stands down. *)
   let g' = Store.regress ~baseline:base ~current:slow () in
   Alcotest.(check (list string)) "coverage-only gate ignores throughput" []
     g'.Store.rx_failures;
-  (* A different machine stands the throughput gate down (bench-diff's
-     host rule). *)
+  (* A different machine stands the throughput gate down (the gate's one
+     host rule) — loudly: one SKIPPED warning naming the pair, both core
+     counts and --require-same-host. *)
   let other = [ entry ~seq:2 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:50.0 ~cores:4 ] in
   let g'' = Store.regress ~tolerance_pct:15.0 ~baseline:base ~current:other () in
   Alcotest.(check (list string)) "host mismatch stands down" []
-    g''.Store.rx_failures
+    g''.Store.rx_failures;
+  (match g''.Store.rx_stood_down with
+   | [ w ] ->
+     Alcotest.(check bool) "warning says SKIPPED" true (contains w "SKIPPED");
+     Alcotest.(check bool) "warning names the pair" true
+       (contains w (List.hd g''.Store.rx_rows).Store.rg_identity);
+     Alcotest.(check bool) "warning names both core counts" true
+       (contains w "old 8" && contains w "new 4");
+     Alcotest.(check bool) "warning points at --require-same-host" true
+       (contains w "--require-same-host")
+   | ws -> Alcotest.failf "expected one stand-down, got %d" (List.length ws));
+  (* Runs filed without host_cores (read as 0) never compare either. *)
+  let anon seq tps = [ entry ~seq ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps ~cores:0 ] in
+  let g3 =
+    Store.regress ~tolerance_pct:15.0 ~baseline:(anon 1 100.0)
+      ~current:(anon 2 30.0) ()
+  in
+  Alcotest.(check int) "two runs without host_cores stand down" 1
+    (List.length g3.Store.rx_stood_down);
+  Alcotest.(check (list string)) "and do not fail" [] g3.Store.rx_failures
+
+let write_file contents =
+  let path = Filename.temp_file "softft_regress" ".json" in
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  path
+
+let bench_snapshot ~cores ~serial =
+  Printf.sprintf
+    "{\"schema\":\"softft.bench_campaign.v3\",\"host_cores\":%d,\
+     \"workloads\":[{\"name\":\"kmeans\",\"serial_trials_per_sec\":%g,\
+     \"parallel_trials_per_sec\":300,\"parallel_speedup\":3}]}\n"
+    cores serial
+
+let test_regress_bench_inputs () =
+  (* A BENCH_campaign.json is compared workload by workload — never read
+     as an index that happens to hold no runs. *)
+  let baseline = write_file (bench_snapshot ~cores:2 ~serial:100.0) in
+  let current = write_file (bench_snapshot ~cores:2 ~serial:70.0) in
+  let g = Store.regress_paths ~tolerance_pct:15.0 ~baseline ~current () in
+  Alcotest.(check int) "three rows for the shared workload" 3
+    (List.length g.Store.rx_bench);
+  Alcotest.(check int) "no warehouse rows" 0 (List.length g.Store.rx_rows);
+  Alcotest.(check int) "the 30%% serial drop fails" 1
+    (List.length g.Store.rx_failures);
+  Alcotest.(check (list string)) "without a tolerance nothing gates" []
+    (Store.regress_paths ~baseline ~current ()).Store.rx_failures;
+  (* A snapshot against an index is an error that names both paths. *)
+  let index = write_file "" in
+  (match Store.regress_paths ~baseline ~current:index () with
+   | _ -> Alcotest.fail "a bench snapshot was compared with an index"
+   | exception Failure msg ->
+     Alcotest.(check bool) "message names both paths" true
+       (contains msg baseline && contains msg index));
+  List.iter Sys.remove [ baseline; current; index ]
 
 let test_regress_unmatched_identities () =
   let base = [ entry ~seq:1 ~label:"a/test" ~sdc_k:5 ~trials:1000 ~tps:100.0 ~cores:8 ] in
@@ -275,7 +339,7 @@ let test_regress_unmatched_identities () =
   Alcotest.(check (list string)) "unmatched identities never fail" []
     g.Store.rx_failures
 
-(* ----- resolve / bench snapshots ----- *)
+(* ----- resolve ----- *)
 
 let test_resolve_key_prefix () =
   let summary, results, p = run_campaign "kmeans" Softft.Dup_valchk in
@@ -296,43 +360,6 @@ let test_resolve_key_prefix () =
   (match Store.resolve ~dir "zzzzzzzz" with
    | _ -> Alcotest.fail "an unknown key resolved"
    | exception Failure _ -> ())
-
-let test_bench_ingest_latest () =
-  let dir = tmp_dir () in
-  let write contents =
-    let path = Filename.temp_file "softft_bench" ".json" in
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    path
-  in
-  let b1 = write "{\"workloads\":[],\"n\":1}\n" in
-  let b2 = write "{\"workloads\":[],\"n\":2}\n" in
-  Alcotest.(check bool) "empty warehouse has no latest bench" true
-    (Store.latest_bench ~dir = None);
-  (match Store.ingest_bench ~dir b1 with
-   | `Ingested _ -> ()
-   | `Duplicate _ -> Alcotest.fail "fresh bench reported duplicate");
-  ignore (Store.ingest_bench ~dir b2);
-  let latest =
-    match Store.latest_bench ~dir with
-    | Some p -> p
-    | None -> Alcotest.fail "no latest bench after two ingests"
-  in
-  Alcotest.(check string) "latest is the second snapshot"
-    (In_channel.with_open_text b2 In_channel.input_all)
-    (In_channel.with_open_text latest In_channel.input_all);
-  (match Store.ingest_bench ~dir b1 with
-   | `Duplicate _ -> ()
-   | `Ingested _ -> Alcotest.fail "re-ingesting bench bytes was not a no-op");
-  (match Store.latest_bench ~dir with
-   | Some p ->
-     Alcotest.(check string) "duplicate ingest does not move latest"
-       (In_channel.with_open_text b2 In_channel.input_all)
-       (In_channel.with_open_text p In_channel.input_all)
-   | None -> Alcotest.fail "latest bench vanished");
-  Sys.remove b1;
-  Sys.remove b2
 
 (* ----- Fixture journals (schema compatibility, v1..v5) ----- *)
 
@@ -514,9 +541,9 @@ let tests =
       test_regress_throughput_gate;
     Alcotest.test_case "regress: unmatched identities" `Quick
       test_regress_unmatched_identities;
+    Alcotest.test_case "regress: bench snapshot inputs" `Quick
+      test_regress_bench_inputs;
     Alcotest.test_case "resolve: key prefixes" `Quick test_resolve_key_prefix;
-    Alcotest.test_case "bench snapshots: latest" `Quick
-      test_bench_ingest_latest;
     Alcotest.test_case "fixtures: v1..v5 parse" `Quick test_fixtures_parse;
     Alcotest.test_case "fixtures: version-specific fields" `Quick
       test_fixture_version_fields;
