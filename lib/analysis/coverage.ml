@@ -265,29 +265,9 @@ let analyze ?exec_counts (p : Ir.Prog.t) =
           b.body
       done;
       (* Register exposure: residency of each live value, weighted by how
-         often its blocks execute. *)
-      let exposure = Hashtbl.create 64 in
-      (* Every defined register gets a row: a value live only inside one
-         block has zero block-boundary residency but can still be hit, and
-         the journal join needs a status for it. *)
-      List.iter (fun r -> Hashtbl.replace exposure r 0.0) f.params;
-      Hashtbl.iter (fun r _ -> Hashtbl.replace exposure r 0.0) st.def_uid;
-      for i = 0 to n - 1 do
-        Hashtbl.iter
-          (fun r () ->
-            let prev =
-              match Hashtbl.find_opt exposure r with
-              | Some e -> e
-              | None -> 0.0
-            in
-            Hashtbl.replace exposure r (prev +. weights.(i)))
-          live.Liveness.live_in.(i)
-      done;
-      (* Registers are unique keys, so sorting by id alone is a total
-         order; never let hashtable iteration order leak into [regs]. *)
-      Hashtbl.fold (fun r e acc -> (r, e) :: acc) exposure []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.iter (fun (r, e) ->
+         often its blocks execute, one row per register in id order. *)
+      Liveness.exposure ~weights live
+      |> Array.iter (fun (r, e) ->
              let s = reg_status st r in
              exposure_total := !exposure_total +. e;
              (match s with

@@ -110,6 +110,36 @@ let compute (cfg : Cfg.t) =
   done;
   { cfg; live_in; live_out }
 
+(** Register exposure, the residency half of the §11 AVF model: for every
+    register of the function, the sum of [weights.(i)] over the blocks [i]
+    it is live-in at.  Every parameter and defined register is seeded at
+    zero, so a value live only inside one block still gets a row.  Rows
+    are sorted by register id; registers are unique keys, so hashtable
+    iteration order never leaks out. *)
+let exposure ~(weights : float array) t =
+  let f = t.cfg.Cfg.func in
+  let tbl = Hashtbl.create 64 in
+  let seed r = Hashtbl.replace tbl r 0.0 in
+  List.iter seed f.params;
+  Ir.Func.iter_blocks
+    (fun b ->
+      List.iter (fun (phi : Ir.Instr.phi) -> seed phi.phi_dest) b.phis;
+      Array.iter
+        (fun (ins : Ir.Instr.t) -> Option.iter seed ins.dest)
+        b.body)
+    f;
+  Array.iteri
+    (fun i live ->
+      Hashtbl.iter
+        (fun r () ->
+          let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl r) in
+          Hashtbl.replace tbl r (prev +. weights.(i)))
+        live)
+    t.live_in;
+  let rows = Array.of_seq (Hashtbl.to_seq tbl) in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) rows;
+  rows
+
 let live_in t label =
   let i = Cfg.index t.cfg label in
   Hashtbl.fold (fun r () acc -> r :: acc) t.live_in.(i) [] |> List.sort compare

@@ -85,50 +85,120 @@ let simulate ~(plan : Plan.t) ~profile ~(ud : Usedef.t) ~on_clone_instr
   in
   (sim, memo, opt2_sites)
 
-let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
-  let plan = Plan.normalize plan in
+(* What [estimate] needs of one function, none of it plan-dependent. *)
+type analyses = {
+  an_func : Ir.Func.t;
+  an_usedef : Usedef.t;
+  an_cfg : Cfg.t;
+  an_header_phis : (Loops.loop * Ir.Block.t * Ir.Instr.phi) list;
+}
+
+type fctx = {
+  fc_an : analyses;
+  fc_weights : float array;
+  fc_block_of_uid : (int, int) Hashtbl.t;
+  (* Stand-alone check candidates in layout order: block, uid, check
+     kind, checked register. *)
+  fc_check_sites : (int * int * Ir.Instr.check_kind * Ir.Instr.reg) array;
+  fc_exposure : (Ir.Instr.reg * float) array;
+}
+
+type ctx = {
+  cx_cost : cost_model;
+  cx_profile : int -> Ir.Instr.check_kind option;
+  cx_funcs : fctx list;  (* program order *)
+  cx_baseline : float;
+  cx_steps : float;
+  cx_exposure_total : float;
+}
+
+let prepare ?exec_counts ?profile ~cost (prog : Ir.Prog.t) =
   let profile = match profile with Some f -> f | None -> fun _ -> None in
-  let exposure_total = ref 0.0 and exposure_unprot = ref 0.0 in
-  let baseline = ref 0.0 and added = ref 0.0 and steps = ref 0.0 in
+  let baseline = ref 0.0 and steps = ref 0.0 and exposure_total = ref 0.0 in
+  let funcs =
+    List.map
+      (fun (f : Ir.Func.t) ->
+        let cfg = Cfg.of_func f in
+        let loops = Loops.compute cfg in
+        let n = Cfg.n_blocks cfg in
+        let weights =
+          match Option.bind exec_counts (fun g -> g f.Ir.Func.name) with
+          | Some c when Array.length c = n -> Array.map float_of_int c
+          | Some _ | None -> Array.make n 1.0
+        in
+        let block_of_uid : (int, int) Hashtbl.t = Hashtbl.create 64 in
+        let check_sites = ref [] in
+        for i = 0 to n - 1 do
+          let b = Cfg.block cfg i in
+          List.iter
+            (fun (phi : Ir.Instr.phi) ->
+              Hashtbl.replace block_of_uid phi.phi_uid i)
+            b.Ir.Block.phis;
+          Array.iter
+            (fun (ins : Ir.Instr.t) ->
+              Hashtbl.replace block_of_uid ins.uid i;
+              if
+                ins.origin = Ir.Instr.From_source
+                && Ir.Instr.produces_value ins
+              then
+                match (profile ins.uid, ins.dest) with
+                | Some ck, Some d ->
+                  check_sites := (i, ins.uid, ck, d) :: !check_sites
+                | _ -> ())
+            b.Ir.Block.body;
+          (* Priced baseline and dynamic step count of the original. *)
+          let body_cost =
+            Array.fold_left (fun a ins -> a + cost.cm_instr ins) 0 b.Ir.Block.body
+          in
+          let phi_cost = cost.cm_phi * List.length b.Ir.Block.phis in
+          baseline :=
+            !baseline
+            +. (weights.(i) *. float_of_int (body_cost + phi_cost + term_cost cost b.Ir.Block.term));
+          steps :=
+            !steps
+            +. (weights.(i)
+                *. float_of_int (Array.length b.Ir.Block.body + List.length b.Ir.Block.phis + 1))
+        done;
+        (* Exposure of original registers, as Coverage.analyze computes it.
+           The weights are integral, so the total is exact in any order. *)
+        let exposure = Liveness.exposure ~weights (Liveness.compute cfg) in
+        Array.iter (fun (_, e) -> exposure_total := !exposure_total +. e) exposure;
+        {
+          fc_an =
+            { an_func = f;
+              an_usedef = Usedef.compute f;
+              an_cfg = cfg;
+              an_header_phis = Loops.header_phis loops };
+          fc_weights = weights;
+          fc_block_of_uid = block_of_uid;
+          fc_check_sites = Array.of_list (List.rev !check_sites);
+          fc_exposure = exposure;
+        })
+      prog.Ir.Prog.funcs
+  in
+  {
+    cx_cost = cost;
+    cx_profile = profile;
+    cx_funcs = funcs;
+    cx_baseline = !baseline;
+    cx_steps = !steps;
+    cx_exposure_total = !exposure_total;
+  }
+
+let analyses ctx = List.map (fun fc -> fc.fc_an) ctx.cx_funcs
+
+let estimate ctx (plan : Plan.t) =
+  let plan = Plan.normalize plan in
+  let cost = ctx.cx_cost and profile = ctx.cx_profile in
+  let exposure_unprot = ref 0.0 and added = ref 0.0 in
   let cloned_instrs = ref 0 and cloned_phis = ref 0 in
   let dup_checks = ref 0 and value_checks = ref 0 in
-  Ir.Prog.iter_funcs
-    (fun f ->
-      let ud = Usedef.compute f in
-      let cfg = Cfg.of_func f in
-      let live = Liveness.compute cfg in
-      let loops = Loops.compute cfg in
+  List.iter
+    (fun fc ->
+      let cfg = fc.fc_an.an_cfg and weights = fc.fc_weights in
       let n = Cfg.n_blocks cfg in
-      let weights =
-        match Option.bind exec_counts (fun g -> g f.Ir.Func.name) with
-        | Some c when Array.length c = n -> Array.map float_of_int c
-        | Some _ | None -> Array.make n 1.0
-      in
-      let block_of_uid : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      for i = 0 to n - 1 do
-        let b = Cfg.block cfg i in
-        List.iter
-          (fun (phi : Ir.Instr.phi) ->
-            Hashtbl.replace block_of_uid phi.phi_uid i)
-          b.Ir.Block.phis;
-        Array.iter
-          (fun (ins : Ir.Instr.t) -> Hashtbl.replace block_of_uid ins.uid i)
-          b.Ir.Block.body;
-        (* Priced baseline and dynamic step count of the original. *)
-        let body_cost =
-          Array.fold_left (fun a ins -> a + cost.cm_instr ins) 0 b.Ir.Block.body
-        in
-        let phi_cost = cost.cm_phi * List.length b.Ir.Block.phis in
-        baseline :=
-          !baseline
-          +. (weights.(i) *. float_of_int (body_cost + phi_cost + term_cost cost b.Ir.Block.term));
-        steps :=
-          !steps
-          +. (weights.(i)
-              *. float_of_int (Array.length b.Ir.Block.body + List.length b.Ir.Block.phis + 1))
-      done;
       let weight_of_uid uid =
-        match Hashtbl.find_opt block_of_uid uid with
+        match Hashtbl.find_opt fc.fc_block_of_uid uid with
         | Some i -> weights.(i)
         | None -> 1.0
       in
@@ -137,7 +207,7 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
       let value_checked : (Ir.Instr.reg, unit) Hashtbl.t = Hashtbl.create 16 in
       let on_clone_instr (ins : Ir.Instr.t) =
         incr cloned_instrs;
-        match Hashtbl.find_opt block_of_uid ins.uid with
+        match Hashtbl.find_opt fc.fc_block_of_uid ins.uid with
         | Some i -> shadows_per_block.(i) <- shadows_per_block.(i) + 1
         | None -> ()
       in
@@ -154,7 +224,8 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
         | None -> ()
       in
       let sim, covered, opt2_sites =
-        simulate ~plan ~profile ~ud ~on_clone_instr ~on_clone_phi ~on_opt2_check
+        simulate ~plan ~profile ~ud:fc.fc_an.an_usedef ~on_clone_instr
+          ~on_clone_phi ~on_opt2_check
       in
       (* Walk every planned chain from its back-edge operands, placing a
          latch dup-check whenever the shadow is non-trivial — the same
@@ -178,29 +249,18 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
                       | Ir.Instr.Imm _ -> ())
                   phi.Ir.Instr.incoming)
               loop.Loops.latches)
-        (Loops.header_phis loops);
+        fc.fc_an.an_header_phis;
       (* Stand-alone planned check sites (skipping sites the chain walk
          already converted into Opt-2 checks, as the transform does via
          [already_checked]). *)
-      for i = 0 to n - 1 do
-        let b = Cfg.block cfg i in
-        Array.iter
-          (fun (ins : Ir.Instr.t) ->
-            if
-              Plan.mem_check plan ins.Ir.Instr.uid
-              && ins.Ir.Instr.origin = Ir.Instr.From_source
-              && Ir.Instr.produces_value ins
-              && not (Hashtbl.mem opt2_sites ins.Ir.Instr.uid)
-            then
-              match (profile ins.Ir.Instr.uid, ins.Ir.Instr.dest) with
-              | Some ck, Some d ->
-                incr value_checks;
-                added :=
-                  !added +. (weights.(i) *. float_of_int (cost.cm_value_check ck));
-                Hashtbl.replace value_checked d ()
-              | _ -> ())
-          b.Ir.Block.body
-      done;
+      Array.iter
+        (fun (i, uid, ck, d) ->
+          if Plan.mem_check plan uid && not (Hashtbl.mem opt2_sites uid) then begin
+            incr value_checks;
+            added := !added +. (weights.(i) *. float_of_int (cost.cm_value_check ck));
+            Hashtbl.replace value_checked d ()
+          end)
+        fc.fc_check_sites;
       (* Slack-discounted shadow cost: each source instruction earns
          cm_slack_gain credits and a free shadow costs cm_slack_cost, so
          per block roughly n_src·gain/cost shadows ride for free. *)
@@ -219,52 +279,29 @@ let estimate ?exec_counts ?profile ~cost (prog : Ir.Prog.t) (plan : Plan.t) =
             !added +. (weights.(i) *. (n_sh -. free) *. float_of_int cost.cm_shadow_slot)
         end
       done;
-      (* Exposure of unprotected original registers, as Coverage.analyze
-         computes it: live-in residency weighted by block frequency, with
-         every defined register seeded so intra-block values get a row. *)
-      let exposure : (Ir.Instr.reg, float) Hashtbl.t = Hashtbl.create 64 in
-      List.iter (fun r -> Hashtbl.replace exposure r 0.0) f.Ir.Func.params;
-      for i = 0 to n - 1 do
-        let b = Cfg.block cfg i in
-        List.iter
-          (fun (phi : Ir.Instr.phi) -> if not (Hashtbl.mem exposure phi.phi_dest) then Hashtbl.replace exposure phi.phi_dest 0.0)
-          b.Ir.Block.phis;
-        Array.iter
-          (fun (ins : Ir.Instr.t) ->
-            match ins.dest with
-            | Some r -> if not (Hashtbl.mem exposure r) then Hashtbl.replace exposure r 0.0
-            | None -> ())
-          b.Ir.Block.body
-      done;
-      for i = 0 to n - 1 do
-        Hashtbl.iter
-          (fun r () ->
-            let prev = try Hashtbl.find exposure r with Not_found -> 0.0 in
-            Hashtbl.replace exposure r (prev +. weights.(i)))
-          live.Liveness.live_in.(i)
-      done;
-      Hashtbl.iter
-        (fun r e ->
-          exposure_total := !exposure_total +. e;
+      (* Unprotected share of the frozen exposure rows. *)
+      Array.iter
+        (fun (r, e) ->
           let protected_ =
             (match Hashtbl.find_opt covered r with Some b -> b | None -> false)
             || Hashtbl.mem value_checked r
           in
           if not protected_ then exposure_unprot := !exposure_unprot +. e)
-        exposure)
-    prog;
+        fc.fc_exposure)
+    ctx.cx_funcs;
   (* Checkpoint overhead: one lump cost every K dynamic steps. *)
   (if plan.Plan.checkpoint > 0 then
      let k = float_of_int plan.Plan.checkpoint in
-     added := !added +. (!steps /. k *. float_of_int cost.cm_checkpoint_cycles));
+     added := !added +. (ctx.cx_steps /. k *. float_of_int cost.cm_checkpoint_cycles));
+  let exposure_total = ctx.cx_exposure_total and baseline = ctx.cx_baseline in
   {
     pe_sdc_fraction =
-      (if !exposure_total > 0.0 then !exposure_unprot /. !exposure_total else 0.0);
-    pe_exposure_total = !exposure_total;
+      (if exposure_total > 0.0 then !exposure_unprot /. exposure_total else 0.0);
+    pe_exposure_total = exposure_total;
     pe_exposure_unprotected = !exposure_unprot;
-    pe_baseline_cycles = !baseline;
+    pe_baseline_cycles = baseline;
     pe_added_cycles = !added;
-    pe_overhead = (if !baseline > 0.0 then !added /. !baseline else 0.0);
+    pe_overhead = (if baseline > 0.0 then !added /. baseline else 0.0);
     pe_cloned_instrs = !cloned_instrs;
     pe_cloned_phis = !cloned_phis;
     pe_dup_checks = !dup_checks;

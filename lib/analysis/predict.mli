@@ -15,6 +15,11 @@
       approximation of the interpreter's slack credit (a fraction of
       shadow slots ride for free in unused issue slots).
 
+    Pricing is split in two.  {!prepare} runs every plan-independent
+    analysis once per program and returns an immutable {!ctx};
+    {!estimate} prices one plan through it, doing only the plan's own
+    work.  A search prepares once and estimates many times.
+
     The cost model is a record of callbacks so this module stays below
     [lib/interp]; [Softft.Optimize.cost_model] wires in [Interp.Cost]. *)
 
@@ -45,16 +50,42 @@ type estimate = {
   pe_value_checks : int;          (** mid-chain (Opt 2) + stand-alone *)
 }
 
-(** [estimate ?exec_counts ?profile ~cost prog plan] prices [plan]
-    against the {e original} [prog].  [exec_counts] supplies per-function
-    block execution counts in layout order (same convention as
-    [Coverage.analyze]; uniform weights otherwise).  [profile] decides
-    which sites are check-amenable; without it, planned terminators and
-    checks are inert, exactly as the transform would treat them. *)
-val estimate :
+(** The plan-independent analyses of one function, computed once by
+    {!prepare}: use-def, CFG and the natural loops' header phis. *)
+type analyses = {
+  an_func : Ir.Func.t;
+  an_usedef : Usedef.t;
+  an_cfg : Cfg.t;
+  an_header_phis : (Loops.loop * Ir.Block.t * Ir.Instr.phi) list;
+}
+
+(** Everything about one program that does not depend on the plan.
+    Immutable once built: pricing plans through one [ctx] in any order
+    gives the same estimates as a fresh [ctx] per plan. *)
+type ctx
+
+(** [prepare ?exec_counts ?profile ~cost prog] analyses the {e original}
+    [prog] once.  Per function: {!analyses}, the block weights, the
+    uid-to-block map, the stand-alone check candidates and the frozen
+    exposure rows ({!Liveness.exposure}); per program: the priced
+    baseline, the dynamic step total and the exposure total.
+    [exec_counts] supplies per-function block execution counts in layout
+    order (same convention as [Coverage.analyze]; uniform weights
+    otherwise).  [profile] decides which sites are check-amenable;
+    without it, planned terminators and checks are inert, exactly as the
+    transform would treat them. *)
+val prepare :
   ?exec_counts:(string -> int array option) ->
   ?profile:(int -> Ir.Instr.check_kind option) ->
   cost:cost_model ->
   Ir.Prog.t ->
-  Plan.t ->
-  estimate
+  ctx
+
+(** The per-function analyses of the prepared program, in program order. *)
+val analyses : ctx -> analyses list
+
+(** [estimate ctx plan] prices [plan] against the program [ctx] was
+    prepared from.  Only the plan's own work runs: the symbolic chain
+    walk, the latch dup-checks, the stand-alone checks, the slack credit,
+    the checkpoint lump and one pass over the exposure rows. *)
+val estimate : ctx -> Plan.t -> estimate

@@ -65,17 +65,15 @@ let cost_model ?(checkpoint_words = 256) () =
    site allowed as a terminator: walk the producer web from the chain's
    back edges, stopping at chain terminators and at the first amenable
    instruction — the same order the duplication pass visits them. *)
-let chain_opt2_sites ~profile (prog : Ir.Prog.t) (c : Plan.chain) =
+let chain_opt2_sites ~profile ctx (c : Plan.chain) =
   match
     List.find_opt
-      (fun (f : Ir.Func.t) -> f.Ir.Func.name = c.Plan.ch_func)
-      prog.Ir.Prog.funcs
+      (fun (an : Predict.analyses) -> an.an_func.Ir.Func.name = c.Plan.ch_func)
+      (Predict.analyses ctx)
   with
   | None -> []
-  | Some f ->
-    let ud = Analysis.Usedef.compute f in
-    let cfg = Analysis.Cfg.of_func f in
-    let loops = Analysis.Loops.compute cfg in
+  | Some an ->
+    let f = an.Predict.an_func and ud = an.an_usedef and cfg = an.an_cfg in
     let seen : (Ir.Instr.reg, unit) Hashtbl.t = Hashtbl.create 32 in
     let sites = ref [] in
     let rec walk r =
@@ -112,17 +110,16 @@ let chain_opt2_sites ~profile (prog : Ir.Prog.t) (c : Plan.chain) =
                     | Ir.Instr.Imm _ -> ())
                 phi.Ir.Instr.incoming)
             l.Analysis.Loops.latches)
-      (Analysis.Loops.header_phis loops);
+      an.an_header_phis;
     !sites
 
 (* Mirror of Value_checks' Optimization 1 on the original program: among
    the amenable sites not already taken by Opt-2, suppress any that sits
    inside another kept candidate's producer chain. *)
-let opt1_surviving ~profile ~(taken : (int, unit) Hashtbl.t)
-    (prog : Ir.Prog.t) =
+let opt1_surviving ~profile ~(taken : (int, unit) Hashtbl.t) ctx =
   List.concat_map
-    (fun (f : Ir.Func.t) ->
-      let ud = Analysis.Usedef.compute f in
+    (fun (an : Predict.analyses) ->
+      let f = an.Predict.an_func and ud = an.an_usedef in
       let candidates =
         List.concat_map
           (fun (b : Ir.Block.t) ->
@@ -156,7 +153,7 @@ let opt1_surviving ~profile ~(taken : (int, unit) Hashtbl.t)
           if Hashtbl.mem covered ins.Ir.Instr.uid then None
           else Some { Plan.vs_func = f.Ir.Func.name; vs_uid = ins.Ir.Instr.uid })
         candidates)
-    prog.Ir.Prog.funcs
+    (Predict.analyses ctx)
 
 (* Non-dominated subset, overhead ascending with strictly decreasing SDC;
    ties resolved toward the smaller plan then the label, so the frontier
@@ -227,7 +224,7 @@ let knee_points ?(n = 2) (front : point list) =
 let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
     (prog : Ir.Prog.t) =
   let budget = match budget with Some b -> b | None -> infinity in
-  let cost = cost_model () in
+  let ctx = Predict.prepare ?exec_counts ?profile ~cost:(cost_model ()) prog in
   let explored = ref 0 in
   let archive : (string, point) Hashtbl.t = Hashtbl.create 64 in
   let consider ?(fixed = false) ?label plan =
@@ -237,7 +234,7 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
     | Some p -> p
     | None ->
       incr explored;
-      let est = Predict.estimate ?exec_counts ?profile ~cost prog plan in
+      let est = Predict.estimate ctx plan in
       let label = match label with Some l -> l | None -> "plan:" ^ key in
       let p = { op_plan = plan; op_label = label; op_fixed = fixed; op_est = est } in
       Hashtbl.replace archive key p;
@@ -258,7 +255,7 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
       let s =
         match profile with
         | None -> []
-        | Some p -> chain_opt2_sites ~profile:p prog c
+        | Some p -> chain_opt2_sites ~profile:p ctx c
       in
       Hashtbl.replace opt2_cache c.Plan.ch_phi_uid s;
       s
@@ -275,7 +272,7 @@ let search ?(beam = 4) ?budget ?exec_counts ?profile ?(checkpoint = 0)
       let terminators = List.concat_map opt2_sites chains in
       let taken = Hashtbl.create 16 in
       List.iter (fun (s : Plan.site) -> Hashtbl.replace taken s.Plan.vs_uid ()) terminators;
-      let checks = opt1_surviving ~profile:prof ~taken prog in
+      let checks = opt1_surviving ~profile:prof ~taken ctx in
       Some
         (consider ~fixed:true ~label:"dup_valchk"
            { Plan.empty with Plan.chains; terminators; checks })

@@ -771,10 +771,18 @@ let bench_snapshot path =
   | _ | (exception (Obs.Json.Parse_error _ | Sys_error _)) -> None
 
 let regress_paths ?tolerance_pct ~baseline ~current () =
+  (* A missing side must fail, never read as an index with no runs: a
+     typo in a baseline path would otherwise pass the gate. *)
   let index path =
-    if Sys.file_exists path && Sys.is_directory path then entries ~dir:path
-    else entries_of_file path
+    if Sys.is_directory path then entries ~dir:path else entries_of_file path
   in
+  List.iter
+    (fun path ->
+      if not (Sys.file_exists path) then
+        failwith (Printf.sprintf "%s: no such file or directory" path)
+      else if Sys.is_directory path && not (Sys.file_exists (index_path path))
+      then failwith (Printf.sprintf "%s: directory has no index.jsonl" path))
+    [ baseline; current ];
   let old_j = bench_snapshot baseline and new_j = bench_snapshot current in
   match (old_j, new_j) with
   | Some old_j, Some new_j -> regress_bench ?tolerance_pct old_j new_j

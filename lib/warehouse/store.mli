@@ -191,7 +191,8 @@ val regress :
     host rule (a snapshot without [host_cores] never compares), parallel
     speedup is shown but never gates, and a workload on one side only
     produces no row.  Raises [Failure] naming both paths when a snapshot
-    meets an index, and on a malformed index. *)
+    meets an index, naming the path when one does not exist or is a
+    directory without an [index.jsonl], and on a malformed index. *)
 val regress_paths :
   ?tolerance_pct:float ->
   baseline:string ->

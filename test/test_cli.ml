@@ -159,6 +159,29 @@ let test_regress_mixed_inputs_fail () =
           (Filename.quote bench) (Filename.quote index)));
   List.iter Sys.remove [ bench; index ]
 
+let test_regress_missing_paths_fail () =
+  (* A typo in a baseline or current path must fail the gate, naming the
+     path, not compare two empty indexes and pass. *)
+  let err = Filename.temp_file "softft_cli" ".err" in
+  let rc =
+    Sys.command
+      (Printf.sprintf
+         "%s regress --baseline no_such_file.jsonl --current missing_dir \
+          > /dev/null 2> %s"
+         exe (Filename.quote err))
+  in
+  let stderr_text = In_channel.with_open_text err In_channel.input_all in
+  Alcotest.(check bool) "missing paths exit non-zero" true (rc <> 0);
+  Alcotest.(check bool) "stderr names the missing path" true
+    (contains stderr_text "no_such_file.jsonl");
+  let index = write_file "" in
+  Alcotest.(check bool) "missing current alone exits non-zero" true
+    (exit_code
+       (Printf.sprintf "regress --baseline %s --current missing_dir"
+          (Filename.quote index))
+     <> 0);
+  List.iter Sys.remove [ index; err ]
+
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
       test_subcommand_help;
@@ -173,4 +196,6 @@ let tests =
     Alcotest.test_case "regress: bench host stand-down" `Quick
       test_regress_bench_stand_down;
     Alcotest.test_case "regress: bench vs index fails" `Quick
-      test_regress_mixed_inputs_fail ]
+      test_regress_mixed_inputs_fail;
+    Alcotest.test_case "regress: missing paths fail" `Quick
+      test_regress_missing_paths_fail ]

@@ -27,10 +27,13 @@ let search_inputs (w : Workloads.Workload.t) =
   in
   (prog, profile, exec_counts)
 
+(* The predictor context for [search_inputs]' program. *)
+let prepare (prog, profile, exec_counts) =
+  Predict.prepare ~exec_counts ~profile ~cost prog
+
 (* A nontrivial plan touching every field: two chains, the first chain's
    Opt-2 terminator sites, one stand-alone check, a checkpoint interval. *)
-let sample_plan (w : Workloads.Workload.t) =
-  let prog, profile, _ = search_inputs w in
+let sample_plan_of (prog, profile, _) ctx =
   let chains = Plan.candidate_chains prog in
   let sites = Plan.candidate_sites ~profile prog in
   let plan =
@@ -38,7 +41,7 @@ let sample_plan (w : Workloads.Workload.t) =
     | c0 :: c1 :: _ ->
       let p = Plan.add_chain (Plan.add_chain Plan.empty c0) c1 in
       let p =
-        match Optimize.chain_opt2_sites ~profile prog c0 with
+        match Optimize.chain_opt2_sites ~profile ctx c0 with
         | t :: _ -> Plan.add_terminator p t
         | [] -> p
       in
@@ -52,6 +55,10 @@ let sample_plan (w : Workloads.Workload.t) =
     | _ -> Alcotest.fail "expected at least two candidate chains"
   in
   Plan.normalize { plan with Plan.checkpoint = 500 }
+
+let sample_plan (w : Workloads.Workload.t) =
+  let inputs = search_inputs w in
+  sample_plan_of inputs (prepare inputs)
 
 (* ----- plan JSON round-trip ----- *)
 
@@ -125,16 +132,15 @@ let test_sdc_monotone_in_chains () =
   List.iter
     (fun name ->
       let w = workload name in
-      let prog, profile, exec_counts = search_inputs w in
+      let ((prog, _, _) as inputs) = search_inputs w in
+      let ctx = prepare inputs in
       let chains = Plan.candidate_chains prog in
       let last = ref 1.0 in
       let (_ : Plan.t) =
         List.fold_left
           (fun acc c ->
             let acc = Plan.add_chain acc c in
-            let est =
-              Predict.estimate ~exec_counts ~profile ~cost prog acc
-            in
+            let est = Predict.estimate ctx acc in
             Alcotest.(check bool)
               (Printf.sprintf "%s: SDC non-increasing at %d chains (%.4f <= %.4f)"
                  name
@@ -153,7 +159,8 @@ let test_sdc_monotone_in_chains () =
    predicted SDC of S ∪ E never exceeds that of S. *)
 let prop_sdc_monotone_random_subsets =
   let w = workload "kmeans" in
-  let prog, profile, exec_counts = search_inputs w in
+  let ((prog, _, _) as inputs) = search_inputs w in
+  let ctx = prepare inputs in
   let chains = Array.of_list (Plan.candidate_chains prog) in
   let n = Array.length chains in
   QCheck.Test.make ~name:"plan SDC monotone on random chain subsets"
@@ -169,8 +176,7 @@ let prop_sdc_monotone_random_subsets =
       let e = subset seed_e in
       let plan_of cs = Plan.normalize { Plan.empty with Plan.chains = cs } in
       let est cs =
-        (Predict.estimate ~exec_counts ~profile ~cost prog (plan_of cs))
-          .Predict.pe_sdc_fraction
+        (Predict.estimate ctx (plan_of cs)).Predict.pe_sdc_fraction
       in
       n = 0 || est (s @ e) <= est s +. 1e-12)
 
@@ -178,12 +184,62 @@ let prop_sdc_monotone_random_subsets =
 
 let test_empty_plan_predicts_original () =
   let w = workload "kmeans" in
-  let prog, profile, exec_counts = search_inputs w in
-  let est = Predict.estimate ~exec_counts ~profile ~cost prog Plan.empty in
+  let est = Predict.estimate (prepare (search_inputs w)) Plan.empty in
   Alcotest.(check (float 1e-9)) "empty plan: all exposure SDC-prone" 1.0
     est.Predict.pe_sdc_fraction;
   Alcotest.(check (float 1e-9)) "empty plan: no added cycles" 0.0
     est.Predict.pe_added_cycles
+
+(* ----- predictor: a shared context holds no per-plan state ----- *)
+
+(* Structural equality, with every float compared bit for bit. *)
+let same_estimate (a : Predict.estimate) b =
+  a = b && Marshal.to_string a [] = Marshal.to_string b []
+
+let test_ctx_reuse_matches_fresh () =
+  List.iter
+    (fun name ->
+      let w = workload name in
+      let ((prog, profile, exec_counts) as inputs) = search_inputs w in
+      let ctx = prepare inputs in
+      let fr = Optimize.search ~beam:2 ~budget:0.15 ~exec_counts ~profile prog in
+      let dup_valchk =
+        List.find
+          (fun (p : Optimize.point) -> p.Optimize.op_label = "dup_valchk")
+          fr.Optimize.fr_fixed
+      in
+      let plans =
+        [ ("empty", Plan.empty);
+          ("all chains",
+           Plan.normalize
+             { Plan.empty with Plan.chains = Plan.candidate_chains prog });
+          ("sample", sample_plan_of inputs ctx);
+          ("dup_valchk", dup_valchk.Optimize.op_plan);
+          ("empty again", Plan.empty) ]
+      in
+      let shared =
+        List.map (fun (label, plan) -> (label, Predict.estimate ctx plan)) plans
+      in
+      List.iter2
+        (fun (label, plan) (_, est) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: shared ctx = fresh ctx" name label)
+            true
+            (same_estimate est (Predict.estimate (prepare inputs) plan)))
+        plans shared;
+      Alcotest.(check bool)
+        (name ^ ": first plan prices the same when repeated")
+        true
+        (same_estimate (List.assoc "empty" shared)
+           (List.assoc "empty again" shared));
+      (* The search priced dup_valchk through its own context after many
+         other plans. *)
+      Alcotest.(check bool)
+        (name ^ ": search's dup_valchk estimate = fresh ctx")
+        true
+        (same_estimate dup_valchk.Optimize.op_est
+           (List.assoc "dup_valchk" shared)))
+    [ "kmeans"; "jpegdec" ]
 
 (* ----- manifest: distinct plans hash to distinct warehouse keys ----- *)
 
@@ -328,6 +384,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_sdc_monotone_random_subsets;
     Alcotest.test_case "empty plan predicts the original" `Quick
       test_empty_plan_predicts_original;
+    Alcotest.test_case "shared predictor ctx = fresh ctx" `Quick
+      test_ctx_reuse_matches_fresh;
     Alcotest.test_case "plan in manifest changes run key" `Quick
       test_plan_in_manifest_changes_run_key;
     Alcotest.test_case "coverage ranking deterministic" `Quick
