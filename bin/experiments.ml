@@ -1197,13 +1197,14 @@ let run_regress baseline current tolerance require_same_host =
   list_only "baseline" g.rx_only_old;
   list_only "current" g.rx_only_new;
   (* The gate standing down must never be silent: the tables go to stdout
-     and are easy to redirect away, so each stand-down is warned on
-     stderr — and --require-same-host turns it into a failure. *)
+     and are easy to redirect away, so each stand-down (host mismatch, or
+     nothing in common to compare) is warned on stderr — and
+     --require-same-host turns it into a failure. *)
   let failures =
     g.rx_failures
     @
     if require_same_host && g.rx_stood_down <> [] then
-      [ "--require-same-host: host mismatch is an error" ]
+      [ "--require-same-host: a gate that stood down is an error" ]
     else []
   in
   List.iter
@@ -1242,8 +1243,9 @@ let regress_tolerance_arg =
 
 let require_same_host_arg =
   let doc =
-    "Treat a throughput stand-down (host_cores missing or different) as \
-     an error (exit 1) instead of a warning."
+    "Treat a stand-down (host_cores missing or different, or no \
+     configuration or workload present on both sides) as an error (exit \
+     1) instead of a warning."
   in
   Arg.(value & flag & info [ "require-same-host" ] ~doc)
 

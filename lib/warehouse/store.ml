@@ -579,6 +579,15 @@ let judge_throughput ~tolerance_pct ~old_cores ~new_cores ~old_rate
          tolerance_pct)
   else Pass
 
+(* Two sides with nothing in common compare nothing: that is a stand-down
+   too (warned, and failed by --require-same-host), never a green gate. *)
+let nothing_shared what =
+  Printf.sprintf
+    "WARNING: regress gate SKIPPED — no %s present in both baseline and \
+     current, so nothing was compared (use --require-same-host to fail \
+     instead)"
+    what
+
 let note_verdict ~failures ~stood = function
   | Pass -> ()
   | Fail msg -> failures := msg :: !failures
@@ -685,6 +694,7 @@ let regress ?tolerance_pct ~baseline ~current () =
     (fun id new_e ->
       if not (Hashtbl.mem old_tbl id) then only_new := new_e :: !only_new)
     new_tbl;
+  if !rows = [] then stood := nothing_shared "configuration" :: !stood;
   { rx_rows =
       List.sort (fun a b -> compare a.rg_identity b.rg_identity) !rows;
     rx_bench = [];
@@ -753,6 +763,7 @@ let regress_bench ?tolerance_pct old_j new_j =
             bench_metrics)
       (bench_workloads old_j)
   in
+  if rows = [] then stood := nothing_shared "workload" :: !stood;
   { rx_rows = [];
     rx_bench = rows;
     rx_only_old = [];

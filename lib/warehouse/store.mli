@@ -164,7 +164,8 @@ type regress = {
   rx_only_old : entry list;      (** identities without a current run *)
   rx_only_new : entry list;
   rx_stood_down : string list;   (** one warning per throughput comparison
-                                     the host rule stood down *)
+                                     the host rule stood down, or one when
+                                     the sides share nothing to compare *)
   rx_failures : string list;     (** human messages; nonempty fails the
                                      gate *)
 }
@@ -174,7 +175,8 @@ type regress = {
     (opt-in): with [tolerance_pct], a matched pair whose trials/s dropped
     more than that is also a failure — but only when both runs report the
     same positive [host_cores].  Otherwise the pair stands down and
-    [rx_stood_down] says so, naming [--require-same-host]. *)
+    [rx_stood_down] says so, naming [--require-same-host].  No matched
+    pair at all stands the whole gate down the same way. *)
 val regress :
   ?tolerance_pct:float ->
   baseline:entry list ->
@@ -190,9 +192,10 @@ val regress :
     shared workload: serial and parallel trials/s gate under the same
     host rule (a snapshot without [host_cores] never compares), parallel
     speedup is shown but never gates, and a workload on one side only
-    produces no row.  Raises [Failure] naming both paths when a snapshot
-    meets an index, naming the path when one does not exist or is a
-    directory without an [index.jsonl], and on a malformed index. *)
+    produces no row (no shared workload stands the gate down).  Raises
+    [Failure] naming both paths when a snapshot meets an index, naming
+    the path when one does not exist or is a directory without an
+    [index.jsonl], and on a malformed index. *)
 val regress_paths :
   ?tolerance_pct:float ->
   baseline:string ->

@@ -182,6 +182,29 @@ let test_regress_missing_paths_fail () =
      <> 0);
   List.iter Sys.remove [ index; err ]
 
+let test_regress_nothing_shared () =
+  (* Two indexes with no run in common compare nothing: a warned
+     stand-down, never a silent green gate, and an error under
+     --require-same-host. *)
+  let empty () = Filename.temp_file "softft_cli" "index.jsonl" in
+  let base = empty () and curr = empty () in
+  let err = Filename.temp_file "softft_cli" ".err" in
+  let args =
+    Printf.sprintf "regress --baseline %s --current %s" (Filename.quote base)
+      (Filename.quote curr)
+  in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s > /dev/null 2> %s" exe args (Filename.quote err))
+  in
+  let stderr_text = In_channel.with_open_text err In_channel.input_all in
+  Alcotest.(check int) "stand-down exits 0" 0 rc;
+  Alcotest.(check bool) "stderr says SKIPPED" true
+    (contains stderr_text "SKIPPED");
+  Alcotest.(check int) "--require-same-host fails it" 1
+    (exit_code (args ^ " --require-same-host"));
+  List.iter Sys.remove [ base; curr; err ]
+
 let tests =
   [ Alcotest.test_case "every subcommand's --help" `Quick
       test_subcommand_help;
@@ -198,4 +221,6 @@ let tests =
     Alcotest.test_case "regress: bench vs index fails" `Quick
       test_regress_mixed_inputs_fail;
     Alcotest.test_case "regress: missing paths fail" `Quick
-      test_regress_missing_paths_fail ]
+      test_regress_missing_paths_fail;
+    Alcotest.test_case "regress: nothing shared stands down" `Quick
+      test_regress_nothing_shared ]

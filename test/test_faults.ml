@@ -576,10 +576,10 @@ let strata_inputs (subject : Faults.Campaign.subject) =
     Analysis.Strata.group_names,
     Analysis.Strata.priors cov )
 
-let run_adaptive ?(ci = 0.08) ?(seed = 41) ?(domains = 1) subject =
+let run_adaptive ?(ci = 0.08) ?(seed = 41) ?(domains = 1) ?bands subject =
   let groups, group_names, priors = strata_inputs subject in
-  Faults.Campaign.run_adaptive ~seed ~domains ~groups ~group_names ~priors
-    ~ci subject
+  Faults.Campaign.run_adaptive ~seed ~domains ?bands ~groups ~group_names
+    ~priors ~ci subject
 
 let test_adaptive_deterministic () =
   (* The contract the journal depends on: for a fixed (seed, config,
@@ -592,7 +592,18 @@ let test_adaptive_deterministic () =
     (Faults.Campaign.trials_equal t1 t2);
   let _, t4, _ = run_adaptive ~domains:4 (protected_array_sum ()) in
   Alcotest.(check bool) "1 vs 4 domains bit-identical" true
-    (Faults.Campaign.trials_equal t1 t4)
+    (Faults.Campaign.trials_equal t1 t4);
+  (* A real protected workload.  One residency band keeps the fixed
+     per-stratum pilot to three strata, so the case stays quick. *)
+  let kmeans =
+    Softft.subject
+      (Softft.protect (Workloads.Registry.find "kmeans") Softft.Dup_valchk)
+      ~role:Workloads.Workload.Test
+  in
+  let _, k1, _ = run_adaptive ~bands:1 ~ci:0.1 kmeans in
+  let _, k2, _ = run_adaptive ~bands:1 ~ci:0.1 ~domains:2 kmeans in
+  Alcotest.(check bool) "kmeans 1 vs 2 domains bit-identical" true
+    (Faults.Campaign.trials_equal k1 k2)
 
 let test_adaptive_accounting () =
   (* Masses partition the injection space (they sum with the empty-ring

@@ -6,27 +6,42 @@ let subject () = Test_faults.array_sum_subject ()
 
 let strip (t : Faults.Campaign.trial) = { t with Faults.Campaign.taint = None }
 
-let run ?(domains = 1) ?(taint_trace = false) ?fault_kind ?progress ~trials
-    ~seed () =
+let run ?(subject = subject) ?(domains = 1) ?(taint_trace = false) ?fault_kind
+    ?progress ~trials ~seed () =
   Faults.Campaign.run ?fault_kind ~domains ~taint_trace ?progress (subject ())
     ~trials ~seed
 
 (* ----- Observation-only contract ----- *)
 
+let kmeans_dupval () =
+  Softft.subject
+    (Softft.protect (Workloads.Registry.find "kmeans") Softft.Dup_valchk)
+    ~role:Workloads.Workload.Test
+
 let test_tracing_inert () =
   (* The tracer must not change a single architectural fact: same outcome
-     counts, and trial-by-trial the same injection, steps and cycles. *)
-  let plain_summary, plain = run ~taint_trace:false ~trials:40 ~seed:7 () in
-  let traced_summary, traced = run ~taint_trace:true ~trials:40 ~seed:7 () in
-  Alcotest.(check bool) "outcome counts identical" true
-    (plain_summary.Faults.Campaign.counts
-     = traced_summary.Faults.Campaign.counts);
-  Alcotest.(check bool) "trials identical modulo the taint field" true
-    (Faults.Campaign.trials_equal plain (List.map strip traced));
-  Alcotest.(check bool) "untraced trials carry no summary" true
-    (List.for_all (fun (t : Faults.Campaign.trial) -> t.taint = None) plain);
-  Alcotest.(check bool) "every traced trial carries a summary" true
-    (List.for_all (fun (t : Faults.Campaign.trial) -> t.taint <> None) traced)
+     counts, and trial-by-trial the same injection, steps and cycles — on
+     the small kernel and on a real protected workload. *)
+  List.iter
+    (fun (subject, trials) ->
+      let plain_summary, plain =
+        run ~subject ~taint_trace:false ~trials ~seed:7 ()
+      in
+      let traced_summary, traced =
+        run ~subject ~taint_trace:true ~trials ~seed:7 ()
+      in
+      Alcotest.(check bool) "outcome counts identical" true
+        (plain_summary.Faults.Campaign.counts
+         = traced_summary.Faults.Campaign.counts);
+      Alcotest.(check bool) "trials identical modulo the taint field" true
+        (Faults.Campaign.trials_equal plain (List.map strip traced));
+      Alcotest.(check bool) "untraced trials carry no summary" true
+        (List.for_all (fun (t : Faults.Campaign.trial) -> t.taint = None)
+           plain);
+      Alcotest.(check bool) "every traced trial carries a summary" true
+        (List.for_all (fun (t : Faults.Campaign.trial) -> t.taint <> None)
+           traced))
+    [ (subject, 40); (kmeans_dupval, 8) ]
 
 let test_tracing_parallel_identical () =
   (* Taint summaries participate in the campaign determinism contract:
